@@ -41,7 +41,7 @@ def logit_fixed_point(cm, theta):
         return softmax(np.concatenate([[0.0], z]))
 
     def logit_residual(z, th):
-        f = cm.travel_cost_vector(to_mu(z))
+        f = cm.cost(to_mu(z))
         return z + th * (f[1:] - f[0])
 
     z = np.zeros(cm.M - 1)
@@ -55,7 +55,7 @@ def logit_fixed_point(cm, theta):
 def tangent_jacobians(cm, mu, theta, h=1e-7):
     """Best-response and cost Jacobians by central differences, on the tangent space."""
     def best_response(m):
-        return softmax(-theta * cm.travel_cost_vector(m))
+        return softmax(-theta * cm.cost(m))
 
     br = np.empty((cm.M, cm.M))
     cost = np.empty((cm.M, cm.M))
@@ -63,8 +63,7 @@ def tangent_jacobians(cm, mu, theta, h=1e-7):
         e = np.zeros(cm.M)
         e[k] = h
         br[:, k] = (best_response(mu + e) - best_response(mu - e)) / (2 * h)
-        cost[:, k] = (cm.travel_cost_vector(mu + e)
-                      - cm.travel_cost_vector(mu - e)) / (2 * h)
+        cost[:, k] = (cm.cost(mu + e) - cm.cost(mu - e)) / (2 * h)
     basis, _ = np.linalg.qr(np.vstack([np.ones(cm.M), np.eye(cm.M)[:-1]]).T)
     t = basis[:, 1:]
     return t.T @ br @ t, t.T @ (cost + cost.T) / 2 @ t
@@ -86,7 +85,7 @@ def main(argv=None):
     theta = cfg.theta
 
     mu = logit_fixed_point(cm, theta)
-    resid = np.max(np.abs(softmax(-theta * cm.travel_cost_vector(mu)) - mu))
+    resid = np.max(np.abs(softmax(-theta * cm.cost(mu)) - mu))
     print(f"logit fixed point at theta={theta:g}: residual {resid:.1e}")
     rates = mu / spec.normalized_capacity
     print("departure rate / capacity:", np.array2string(rates, precision=3))

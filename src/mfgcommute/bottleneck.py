@@ -139,25 +139,20 @@ def shift_inertia(s: int, s_prime: int, spec: BottleneckSpec) -> float:
 def bottleneck_cost_model(spec: BottleneckSpec, theta: float) -> CostModel:
     """Cost model for the departure-time scenario.
 
-    The uniform bound sweeps all single-slice-concentrated mean fields: the
-    cost of any slice is piecewise linear in its delay, and both the maximal
-    delay of a slice and the zero-delay corner are attained within that
-    sweep, so the sweep maximum dominates the cost everywhere.
+    The uniform bound sweeps all single-slice-concentrated mean fields (the
+    rows of the identity): the cost of any slice is piecewise linear in its
+    delay, and both the maximal delay of a slice and the zero-delay corner
+    are attained within that sweep, so the sweep maximum dominates the cost
+    everywhere.  The inertia matrix is :func:`shift_inertia` over all slice
+    pairs.
     """
-    worst = 0.0
-    for s0 in range(spec.M):
-        onehot = np.zeros(spec.M)
-        onehot[s0] = 1.0
-        worst = max(worst, float(departure_costs(onehot, spec).max()))
-    bound = worst + spec.epsilon * (spec.M - 1) * spec.slice_hours
+    worst = float(departure_costs(np.eye(spec.M), spec).max())
+    i = np.arange(spec.M)
     return CostModel(
-        M=spec.M,
+        cost=lambda mu: departure_costs(mu, spec),
+        inertia_matrix=spec.epsilon * np.abs(i[:, None] - i[None, :]) * spec.slice_hours,
         theta=theta,
-        travel_cost=lambda s, mu: departure_cost(s, mu, spec),
-        inertia=lambda s, x: shift_inertia(s, x, spec),
-        bound_C=bound,
-        travel_cost_batch=lambda mu: departure_costs(mu, spec),
-        travel_cost_table=lambda mu_seq: departure_costs(mu_seq, spec),
+        bound_C=worst + spec.epsilon * (spec.M - 1) * spec.slice_hours,
     )
 
 

@@ -68,7 +68,6 @@ class ExperimentConfig:
     exploitability_tol: float
     record_trace: bool
     outputs: str
-    seed: int
     policy_days: list[int] | None
     base_dir: Path
 
@@ -92,7 +91,6 @@ class ExperimentConfig:
                 "record_trace": self.record_trace,
             },
             "outputs": self.outputs,
-            "seed": self.seed,
             "policy_days": self.policy_days,
         }
 
@@ -165,7 +163,6 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         exploitability_tol=tol,
         record_trace=record_trace,
         outputs=str(raw.get("outputs", "out")),
-        seed=_as_number(raw.get("seed", 0), "seed", int),
         policy_days=policy_days,
         base_dir=base_dir,
     )
@@ -271,7 +268,7 @@ def _augmented_flatness(avg_mf, cm):
         if np.any(mu <= 0.0):
             out.append(None)
             continue
-        profile = augmented_cost_profile(mu, cm.travel_cost_vector(mu), cm.theta)
+        profile = augmented_cost_profile(mu, cm.cost(mu), cm.theta)
         out.append(float(profile.max() - profile.min()))
     return out
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,6 +33,7 @@ __all__ = [
     "NumericError",
     "SolverFailure",
     "CostModel",
+    "DampedStep",
     "check_distribution",
     "check_mean_field_seq",
     "check_policy",
@@ -150,64 +150,74 @@ def uniform_policy_seq(n: int, m: int) -> np.ndarray:
 class CostModel:
     """Scenario interface consumed by every solver.
 
-    ``travel_cost(s, mu)`` is the daily cost of option ``s`` against mean
-    field ``mu``; ``inertia(s, x)`` the switching cost between consecutive
-    days; ``theta`` the inverse noise scale of the entropy penalty.
-    ``bound_C`` must dominate both cost components over all admissible
-    inputs.  Both callables must be deterministic.  ``travel_cost_batch``,
-    when given, returns the full cost vector for one mean field and must
-    agree bit-for-bit with the per-state callable.
+    ``cost(mu)`` maps a mean field of shape (..., M) to the daily travel cost
+    f(s, mu) of every option, shape (..., M): one call prices a single day or
+    a whole (N, M) horizon, and each row of a batched call must equal the
+    call on that row alone.  ``inertia_matrix`` holds the switching cost
+    d(s, x) between consecutive days; it fixes M.  ``theta`` is the inverse
+    noise scale of the entropy penalty.  ``bound_C`` must dominate both cost
+    components over all admissible inputs.  ``cost`` must be deterministic.
     """
 
-    M: int
+    cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    inertia_matrix: np.ndarray
     theta: float
-    travel_cost: Callable[[int, np.ndarray], float]
-    inertia: Callable[[int, int], float]
     bound_C: float
-    travel_cost_batch: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
-    travel_cost_table: Callable[[np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False
-    )
 
     def __post_init__(self):
-        if self.M < 1:
+        d = np.asarray(self.inertia_matrix, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise InvalidInputError(f"inertia matrix must be square, got shape {d.shape}")
+        if d.shape[0] < 1:
             raise InvalidInputError("cost model needs at least one state")
         if not (self.theta > 0.0 and math.isfinite(self.theta)):
             raise InvalidInputError("theta must be positive and finite")
         if self.bound_C < 0.0:
             raise InvalidInputError("bound_C must be non-negative")
-
-    @cached_property
-    def inertia_matrix(self) -> np.ndarray:
-        """(M, M) table of inertia costs, built once from the callable."""
-        d = np.array(
-            [[self.inertia(s, x) for x in range(self.M)] for s in range(self.M)],
-            dtype=float,
-        )
-        if np.any(d < 0.0) or np.any(d > self.bound_C):
+        if not np.all(np.isfinite(d)) or np.any(d < 0.0) or np.any(d > self.bound_C):
             raise InvalidInputError("inertia values must lie in [0, bound_C]")
-        return d
+        self.inertia_matrix = d
 
-    def travel_cost_vector(self, mu: np.ndarray) -> np.ndarray:
-        """Daily cost of every option against ``mu`` as an (M,) vector."""
-        if self.travel_cost_batch is not None:
-            return np.asarray(self.travel_cost_batch(mu), dtype=float)
-        return np.array(
-            [self.travel_cost(s, mu) for s in range(self.M)], dtype=float
-        )
+    @property
+    def M(self) -> int:
+        """Number of travel options."""
+        return self.inertia_matrix.shape[0]
 
-    def travel_cost_sequence(self, mu_seq: np.ndarray) -> np.ndarray:
-        """Daily cost table for a whole (N, M) mean field sequence.
 
-        Uses the whole-horizon hook when the scenario provides one (it must
-        agree bit-for-bit with the per-day path); otherwise stacks per-day
-        vectors.
-        """
-        if self.travel_cost_table is not None:
-            return np.asarray(self.travel_cost_table(mu_seq), dtype=float)
-        return np.stack([self.travel_cost_vector(day) for day in mu_seq])
+class DampedStep:
+    """Step controller of the damped update mu <- (1-a) mu + a target.
+
+    A fixed step can lock into a two-cycle when theta times the cost spread
+    is stiff, so the step is halved (and the halved value becomes the cap)
+    after 50 rounds without a new best residual, down to 2**-20, and doubled
+    back toward the cap after 50 rounds of improvement.  Deterministic.
+    """
+
+    def __init__(self, step: float):
+        self.step = step
+        self.ceiling = step
+        self.best = math.inf
+        self.stall = 0
+        self.grow = 0
+
+    def move(self, mu, target, residual: float) -> np.ndarray:
+        """Adapt the step to ``residual``, then damp ``mu`` toward ``target``."""
+        if residual < self.best:
+            self.best = residual
+            self.stall = 0
+            self.grow += 1
+            if self.grow >= 50:
+                self.step = min(2.0 * self.step, self.ceiling)
+                self.grow = 0
+        else:
+            self.stall += 1
+            self.grow = 0
+            if self.stall >= 50 and self.step > 2.0**-20:
+                self.step *= 0.5
+                self.ceiling = self.step
+                self.stall = 0
+        mu = (1.0 - self.step) * mu + self.step * target
+        return mu / math.fsum(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +282,7 @@ def bellman_apply(v_next, mu, cm: CostModel):
     mu = check_distribution(mu, "mean field")
     if mu.shape != (cm.M,):
         raise InvalidInputError("mean field dimension does not match model")
-    f = cm.travel_cost_vector(mu)
-    return _bellman_core(f, cm.inertia_matrix, v_next, cm.theta)
+    return _bellman_core(cm.cost(mu), cm.inertia_matrix, v_next, cm.theta)
 
 
 def _backward_induction_core(f_table, d, theta):
@@ -294,8 +303,7 @@ def backward_induction(mu, cm: CostModel):
     mu = check_mean_field_seq(mu)
     if mu.shape[1] != cm.M:
         raise InvalidInputError("mean field dimension does not match model")
-    f_table = cm.travel_cost_sequence(mu)
-    return _backward_induction_core(f_table, cm.inertia_matrix, cm.theta)
+    return _backward_induction_core(cm.cost(mu), cm.inertia_matrix, cm.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +385,7 @@ def policy_evaluate(pi, mu, cm: CostModel) -> np.ndarray:
     n_days, m = mu.shape
     if pi.shape != (n_days, m, m) or m != cm.M:
         raise InvalidInputError("policy/mean-field/model shapes do not match")
-    f_table = cm.travel_cost_sequence(mu)
-    return _policy_evaluate_core(pi, f_table, cm.inertia_matrix, cm.theta)
+    return _policy_evaluate_core(pi, cm.cost(mu), cm.inertia_matrix, cm.theta)
 
 
 def total_cost(pi, mu, cm: CostModel, mu0) -> float:

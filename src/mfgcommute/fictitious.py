@@ -179,52 +179,39 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     den = np.zeros((cfg.horizon, m))
     avg_pol = None
     trace: list[float] = []
-    converged = False
-    iterations = 0
-    value_seq = None
 
-    for j in range(1, cfg.max_iters + 1):
-        # Best response to the current average; its value also prices the
-        # exploitability of the pair averaged through iteration j - 1,
-        # which shares the same mean field (and hence the same cost table).
-        f_table = cm.travel_cost_sequence(avg_mf)
+    # Pass j best-responds to the average through iteration j - 1; its value
+    # also prices that average's exploitability, which shares the same mean
+    # field (and hence the same cost table).  Pass max_iters + 1 only records
+    # the final gap.
+    for j in range(1, cfg.max_iters + 2):
+        f_table = cm.cost(avg_mf)
         br_values, br_policy = _backward_induction_core(f_table, d, cm.theta)
         if avg_pol is not None:
             held = _policy_evaluate_core(avg_pol, f_table, d, cm.theta)
             gap = float(np.sum(cfg.mu0 * held[0])) - float(np.sum(cfg.mu0 * br_values[0]))
             if cfg.record_trace:
                 trace.append(gap)
-            logger.debug("iteration %d exploitability %.3e", iterations, gap)
-            if gap <= cfg.exploitability_tol:
-                converged = True
-                value_seq = br_values
+            logger.debug("iteration %d exploitability %.3e", j - 1, gap)
+            converged = gap <= cfg.exploitability_tol
+            if converged or j > cfg.max_iters:
                 break
         induced = _forward_propagate_core(br_policy, cfg.mu0)
         avg_mf = fp_average_mf(avg_mf, induced, j)
         num += induced[:, :, None] * br_policy
         den += induced
         avg_pol = _weighted_policy_average(num, den, m)
-        iterations = j
-    else:
-        f_table = cm.travel_cost_sequence(avg_mf)
-        br_values, _ = _backward_induction_core(f_table, d, cm.theta)
-        held = _policy_evaluate_core(avg_pol, f_table, d, cm.theta)
-        gap = float(np.sum(cfg.mu0 * held[0])) - float(np.sum(cfg.mu0 * br_values[0]))
-        if cfg.record_trace:
-            trace.append(gap)
-        converged = gap <= cfg.exploitability_tol
-        value_seq = br_values
 
     logger.info(
         "fictitious play finished after %d iterations (converged=%s)",
-        iterations,
+        j - 1,
         converged,
     )
     return SolverReport(
         avg_policy=avg_pol,
         avg_mf=avg_mf,
-        value_seq=value_seq,
+        value_seq=br_values,
         exploitability_trace=trace,
-        iterations_run=iterations,
+        iterations_run=j - 1,
         converged=converged,
     )

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     CostModel,
+    DampedStep,
     InvalidInputError,
     SolverFailure,
     check_distribution,
@@ -174,23 +175,15 @@ def route_cost_model(
 
     The uniform bound is the worst single-path pile-up cost plus the inertia
     weight: piling all demand onto path s maximizes every link flow on s, so
-    the per-path maxima are attained at the one-hot mean fields.
+    the per-path maxima are attained at the one-hot mean fields (the rows of
+    the identity).
     """
-    d = inertia.matrix(net)
-    worst = 0.0
-    for s in range(net.num_paths):
-        onehot = np.zeros(net.num_paths)
-        onehot[s] = 1.0
-        worst = max(worst, float(path_costs(onehot, net)[s]))
-    bound = worst + inertia.epsilon
+    worst = float(np.diag(path_costs(np.eye(net.num_paths), net)).max())
     return CostModel(
-        M=net.num_paths,
+        cost=lambda mu: path_costs(mu, net),
+        inertia_matrix=inertia.matrix(net),
         theta=theta,
-        travel_cost=lambda s, mu: path_cost(s, mu, net),
-        inertia=lambda s, x: float(d[s, x]),
-        bound_C=bound,
-        travel_cost_batch=lambda mu: path_costs(mu, net),
-        travel_cost_table=lambda mu_seq: path_costs(mu_seq, net),
+        bound_C=worst + inertia.epsilon,
     )
 
 
@@ -205,19 +198,14 @@ def logit_sue(
 
     Damped fixed-point iteration mu <- (1-a) mu + a softmax(-theta f(., mu))
     until the residual d_f(mu, softmax(-theta f(., mu))) drops below ``tol``.
-    A fixed step can lock into a two-cycle when theta times the cost spread
-    is stiff, so the step is halved whenever the residual stops improving
-    (deterministically; the update formula itself is unchanged).
+    The step adapts through :class:`DampedStep`, which halves it whenever the
+    residual stops improving.
     """
     if theta <= 0.0:
         raise InvalidInputError("theta must be positive")
     mu = uniform_distribution(net.num_paths)
     residual = math.inf
-    best = math.inf
-    stall = 0
-    grow = 0
-    step = damping
-    ceiling = damping
+    damper = DampedStep(damping)
     for _ in range(max_iters):
         scores = -theta * path_costs(mu, net)
         weights = np.exp(scores - scores.max())
@@ -225,22 +213,7 @@ def logit_sue(
         residual = dist_distance(mu, target)
         if residual <= tol:
             return check_distribution(mu, "SUE distribution")
-        if residual < best:
-            best = residual
-            stall = 0
-            grow += 1
-            if grow >= 50:
-                step = min(2.0 * step, ceiling)
-                grow = 0
-        else:
-            stall += 1
-            grow = 0
-            if stall >= 50 and step > 2.0**-20:
-                step *= 0.5
-                ceiling = step
-                stall = 0
-        mu = (1.0 - step) * mu + step * target
-        mu = mu / math.fsum(mu)
+        mu = damper.move(mu, target, residual)
     raise SolverFailure(
         f"logit SUE did not reach tol={tol:g} (last residual {residual:.3e})",
         residual=residual,

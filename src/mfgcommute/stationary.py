@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     CostModel,
+    DampedStep,
     InvalidInputError,
     SolverFailure,
     _bellman_core,
@@ -67,7 +68,7 @@ def _relative_value_iteration(cm, mu, v_start, tol=1e-13, max_sweeps=100_000):
     takes 10 more sweeps whose increments are averaged into the per-day
     constant (pre-convergence increments would contaminate the mean).
     """
-    f = cm.travel_cost_vector(mu)  # frozen mu: one cost evaluation for all sweeps
+    f = cm.cost(mu)  # frozen mu: one cost evaluation for all sweeps
     d = cm.inertia_matrix
     v = v_start - v_start[0]
     for _ in range(max_sweeps):
@@ -124,11 +125,7 @@ def solve_smfe(
     v = np.zeros(cm.M)
     lam = 0.0
     r1 = r2 = math.inf
-    best = math.inf
-    stall = 0
-    grow = 0
-    step = damping
-    ceiling = damping
+    damper = DampedStep(damping)
     fallback_at = min(5_000, max(max_outer // 2, 1))
     fallback_used = not fallback
     for outer in range(max_outer):
@@ -143,33 +140,12 @@ def solve_smfe(
         if outer + 1 >= fallback_at and not fallback_used and r2 > 1e-3:
             mu = _fallback_seed(cm)
             v = np.zeros(cm.M)
-            best = math.inf
-            stall = 0
-            grow = 0
-            step = damping
-            ceiling = damping
+            damper = DampedStep(damping)
             fallback_used = True
             logger.info("stationary solve re-seeded from long-horizon run")
             continue
-        # A fixed damping can two-cycle when theta times the cost spread is
-        # stiff; halve the step whenever the residual stops improving.
-        if r2 < best:
-            best = r2
-            stall = 0
-            grow += 1
-            if grow >= 50:
-                step = min(2.0 * step, ceiling)
-                grow = 0
-        else:
-            stall += 1
-            grow = 0
-            if stall >= 50 and step > 2.0**-20:
-                step *= 0.5
-                ceiling = step
-                stall = 0
         target = _stationary_distribution(pi, pushed)
-        mu = (1.0 - step) * mu + step * target
-        mu = mu / math.fsum(mu)
+        mu = damper.move(mu, target, r2)
     raise SolverFailure(
         f"stationary solve stopped at residuals r1={r1:.3e}, r2={r2:.3e}",
         residual=max(r1, r2),
@@ -232,7 +208,7 @@ def value_gap_check(p: StationaryPair, cm: CostModel, slack: float = 1e-9) -> bo
     Only defined for indicator inertia d = epsilon * 1{s != s'}.
     """
     eps = _indicator_epsilon(cm)
-    f = cm.travel_cost_vector(p.mu_bar)
+    f = cm.cost(p.mu_bar)
     ok = True
     for x in range(cm.M):
         for y in range(cm.M):

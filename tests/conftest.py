@@ -52,8 +52,8 @@ def make_table_cost_model(f_table, d_table, theta, coupling=None):
         coupling = np.zeros((m, m))
     coupling = np.asarray(coupling, dtype=float)
 
-    def travel(s, mu):
-        return float(f_table[s] + float(np.sum(coupling[s] * mu)))
+    def cost(mu):
+        return f_table + (coupling * mu[..., None, :]).sum(-1)
 
     bound = float(
         max(
@@ -62,10 +62,4 @@ def make_table_cost_model(f_table, d_table, theta, coupling=None):
             1e-9,
         )
     )
-    return CostModel(
-        M=m,
-        theta=theta,
-        travel_cost=travel,
-        inertia=lambda s, x: float(d_table[s, x]),
-        bound_C=bound,
-    )
+    return CostModel(cost=cost, inertia_matrix=d_table, theta=theta, bound_C=bound)

@@ -65,11 +65,9 @@ def mc_policy_value(pi_seq, mu_seq, cm, start_state, n_paths, rng):
     """
     n_days, m = np.asarray(mu_seq).shape
     pi_seq = np.asarray(pi_seq, dtype=float)
-    d = np.array(
-        [[cm.inertia(s, x) for x in range(m)] for s in range(m)], dtype=float
-    )
+    d = np.asarray(cm.inertia_matrix, dtype=float)
     f_table = np.array(
-        [[cm.travel_cost(s, mu_seq[n]) for s in range(m)] for n in range(n_days)]
+        [cm.cost(np.asarray(mu_seq[n], dtype=float)) for n in range(n_days)]
     )
     states = np.full(n_paths, start_state, dtype=np.intp)
     total = np.zeros(n_paths)
@@ -98,14 +96,15 @@ def occupancy_total_cost(pi_seq, mu_seq, cm, mu0):
     total = 0.0
     for n in range(n_days):
         stage_next = [0.0] * m
+        f = cm.cost(np.asarray(mu_seq[n], dtype=float))
         for s in range(m):
-            f = cm.travel_cost(s, np.asarray(mu_seq[n], dtype=float))
             stage = 0.0
             for x in range(m):
                 p = float(pi_seq[n][s][x])
                 if p > 0.0:
-                    stage += p * (cm.inertia(s, x) + math.log(p) / cm.theta)
+                    d = float(cm.inertia_matrix[s, x])
+                    stage += p * (d + math.log(p) / cm.theta)
                     stage_next[x] += occ[s] * p
-            total += occ[s] * (f + stage)
+            total += occ[s] * (float(f[s]) + stage)
         occ = stage_next
     return total

@@ -123,10 +123,29 @@ def test_cost_model_bound_dominates(guo):
     rng = np.random.default_rng(3)
     for _ in range(300):
         mu = rng.dirichlet(np.ones(40) * rng.uniform(0.2, 2.0))
-        f = cm.travel_cost_vector(mu)
+        f = cm.cost(mu)
         assert np.all(f >= 0.0) and np.all(f <= cm.bound_C)
     d = cm.inertia_matrix
     assert np.all(d >= 0.0) and np.all(d <= cm.bound_C)
+
+
+def test_cost_model_batched_rows_equal_single_days(guo):
+    # Fictitious play prices a whole horizon in one call and the stationary
+    # solver one day at a time; their results are comparable only while
+    # every batched row equals the single-day call bit for bit.
+    cm = bottleneck_cost_model(guo, 20.0)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        mu_seq = rng.dirichlet(np.ones(cm.M), size=30)
+        batch = cm.cost(mu_seq)
+        for n in range(30):
+            assert np.array_equal(batch[n], cm.cost(mu_seq[n]))
+
+
+def test_cost_model_inertia_matches_shift_inertia(guo):
+    cm = bottleneck_cost_model(guo, 20.0)
+    expected = [[shift_inertia(s, x, guo) for x in range(guo.M)] for s in range(guo.M)]
+    assert np.array_equal(cm.inertia_matrix, np.array(expected))
 
 
 def test_slice_mapping_toggle(guo):

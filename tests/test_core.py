@@ -117,25 +117,26 @@ def test_check_policy_rejects_bad_rows():
 
 def test_cost_model_validation():
     d = np.zeros((2, 2))
+
+    def zero_cost(mu):
+        return np.zeros_like(mu)
+
     with pytest.raises(InvalidInputError):
-        CostModel(M=2, theta=0.0, travel_cost=lambda s, mu: 0.0,
-                  inertia=lambda s, x: 0.0, bound_C=1.0)
-    bad = CostModel(M=2, theta=1.0, travel_cost=lambda s, mu: 0.0,
-                    inertia=lambda s, x: 5.0 if s != x else 0.0, bound_C=1.0)
-    with pytest.raises(InvalidInputError):
-        bad.inertia_matrix
-    ok = CostModel(M=2, theta=1.0, travel_cost=lambda s, mu: 0.0,
-                   inertia=lambda s, x: float(d[s, x]), bound_C=1.0)
+        CostModel(cost=zero_cost, inertia_matrix=d, theta=0.0, bound_C=1.0)
+    for bad in (np.zeros((2, 3)), np.array([[0.0, -0.5], [0.0, 0.0]]),
+                np.array([[0.0, 5.0], [5.0, 0.0]]), np.array([[0.0, np.nan], [0.0, 0.0]])):
+        with pytest.raises(InvalidInputError):
+            CostModel(cost=zero_cost, inertia_matrix=bad, theta=1.0, bound_C=1.0)
+    ok = CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=1.0)
     assert ok.inertia_matrix.shape == (2, 2)
+    assert ok.M == 2
 
 
 def test_cost_model_determinism_bit_for_bit():
     rng = np.random.default_rng(2)
     cm = random_cost_model(rng, 4)
     mu = random_distribution(rng, 4)
-    assert cm.travel_cost(2, mu) == cm.travel_cost(2, mu)
-    assert cm.inertia(1, 3) == cm.inertia(1, 3)
-    assert np.array_equal(cm.travel_cost_vector(mu), cm.travel_cost_vector(mu))
+    assert np.array_equal(cm.cost(mu), cm.cost(mu))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_backward_induction_single_day_formula():
     cm = random_cost_model(rng, 4, theta=1.5)
     mu = np.stack([random_distribution(rng, 4)])
     values, policies = backward_induction(mu, cm)
-    f = cm.travel_cost_vector(mu[0])
+    f = cm.cost(mu[0])
     d = cm.inertia_matrix
     expected = f - np.log(np.exp(-cm.theta * d).sum(axis=1)) / cm.theta
     assert np.allclose(values[0], expected, atol=1e-12)

@@ -128,10 +128,23 @@ def test_route_cost_model_bound_dominates_costs(grid9, route_cm_e1t1):
     rng = np.random.default_rng(2)
     for _ in range(200):
         mu = rng.dirichlet(np.ones(6))
-        f = route_cm_e1t1.travel_cost_vector(mu)
+        f = route_cm_e1t1.cost(mu)
         assert np.all(f >= 0.0) and np.all(f <= route_cm_e1t1.bound_C)
     d = route_cm_e1t1.inertia_matrix
     assert np.all(d >= 0.0) and np.all(d <= route_cm_e1t1.bound_C)
+
+
+def test_cost_model_batched_rows_equal_single_days(route_cm_e1t1):
+    # Fictitious play prices a whole horizon in one call and the stationary
+    # solver one day at a time; their results are comparable only while
+    # every batched row equals the single-day call bit for bit.
+    cm = route_cm_e1t1
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        mu_seq = rng.dirichlet(np.ones(cm.M), size=30)
+        batch = cm.cost(mu_seq)
+        for n in range(30):
+            assert np.array_equal(batch[n], cm.cost(mu_seq[n]))
 
 
 def test_logit_sue_symmetric_parallel_links():

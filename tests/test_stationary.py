@@ -144,9 +144,9 @@ def exact_pair_e1t1(route_cm_e1t1, pair_e1t1):
 def two_state_model(f0=0.0, f1=0.5, eps=0.3, theta=2.0):
     f = np.array([f0, f1])
     return CostModel(
-        M=2, theta=theta,
-        travel_cost=lambda s, mu: float(f[s]),
-        inertia=lambda s, x: eps * (s != x),
+        cost=lambda mu: np.zeros_like(mu) + f,
+        inertia_matrix=eps * (1.0 - np.eye(2)),
+        theta=theta,
         bound_C=max(f0, f1, eps, 1.0),
     )
 
