@@ -35,6 +35,7 @@ from .fictitious import FPConfig, fictitious_play
 from .route import RouteInertiaSpec, link_flows, load_network, logit_sue, route_cost_model
 from .stationary import (
     augmented_cost_profile,
+    omega_bound,
     omega_bound_check,
     sdsue_check,
     smfe_residuals,
@@ -278,24 +279,16 @@ def _smfe_summary(cm, avg_mf, max_outer=5_000):
     try:
         pair = solve_smfe(cm, max_outer=max_outer, fallback=False)
         r1, r2 = smfe_residuals(pair, cm)
-        return {
-            "converged": True,
-            "r1": r1,
-            "r2": r2,
-            "lambda_bar": pair.lambda_bar,
-            "df_last_day": dist_distance(pair.mu_bar, avg_mf[-1]),
-        }
+        found = {"converged": True, "r1": r1, "r2": r2,
+                 "lambda_bar": pair.lambda_bar, "mu_bar": pair.mu_bar}
     except SolverFailure as exc:
-        payload = exc.payload or {}
-        return {
-            "converged": False,
-            "r1": payload.get("r1"),
-            "r2": payload.get("r2"),
-            "lambda_bar": payload.get("lambda_bar"),
-            "df_last_day": (
-                dist_distance(payload["mu_bar"], avg_mf[-1]) if "mu_bar" in payload else None
-            ),
-        }
+        found = {"converged": False, **(exc.payload or {})}
+    mu = found.get("mu_bar")
+    return {
+        "converged": found["converged"],
+        **{key: found.get(key) for key in ("r1", "r2", "lambda_bar")},
+        "df_last_day": None if mu is None else dist_distance(mu, avg_mf[-1]),
+    }
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
@@ -325,11 +318,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         out / "exploitability.csv",
     )
 
+    omega = omega_bound(cm)
     diagnostics = {
         "augmented_cost_flatness": _augmented_flatness(report.avg_mf, cm),
         "smfe": _smfe_summary(cm, report.avg_mf),
         "omega_bound": {
             "passed": omega_bound_check(report.avg_mf, cm),
+            "omega": omega,
+            "vacuous": omega == 0.0,
             "theta": cm.theta,
             "bound_C": cm.bound_C,
         },
@@ -407,14 +403,9 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
                 logger.warning("logit SUE benchmark failed: %s", exc)
     except SolverFailure as exc:
         data = exc.payload or {}
-        payload = {
-            "converged": False,
-            "r1": data.get("r1"),
-            "r2": data.get("r2"),
-            "lambda_bar": data.get("lambda_bar"),
-            "mu_bar": data.get("mu_bar"),
-            "V_bar": data.get("V_bar"),
-        }
+        payload = {"converged": False, **{
+            key: data.get(key) for key in ("r1", "r2", "lambda_bar", "mu_bar", "V_bar")
+        }}
         code = 2
         logger.warning("stationary solve failed: %s", exc)
     dump_json(payload, out / "smfe.json")

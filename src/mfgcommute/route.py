@@ -190,7 +190,6 @@ def route_cost_model(
 def logit_sue(
     net: RoadNetwork,
     theta: float,
-    damping: float = 0.5,
     max_iters: int = 100_000,
     tol: float = 1e-10,
 ) -> np.ndarray:
@@ -198,14 +197,14 @@ def logit_sue(
 
     Damped fixed-point iteration mu <- (1-a) mu + a softmax(-theta f(., mu))
     until the residual d_f(mu, softmax(-theta f(., mu))) drops below ``tol``.
-    The step adapts through :class:`DampedStep`, which halves it whenever the
-    residual stops improving.
+    The step starts at 0.5 and adapts through :class:`DampedStep`, which
+    halves it whenever the residual stops improving.
     """
     if theta <= 0.0:
         raise InvalidInputError("theta must be positive")
     mu = uniform_distribution(net.num_paths)
     residual = math.inf
-    damper = DampedStep(damping)
+    damper = DampedStep(0.5)
     for _ in range(max_iters):
         scores = -theta * path_costs(mu, net)
         weights = np.exp(scores - scores.max())

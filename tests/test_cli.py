@@ -101,7 +101,11 @@ def test_run_experiment_artifacts(tmp_path, repo_root):
     diag = json.loads((out / "diagnostics.json").read_text())
     assert len(diag["augmented_cost_flatness"]) == 8
     assert "link_flow_trace" in diag
-    assert diag["omega_bound"]["passed"] is True
+    omega = diag["omega_bound"]
+    assert omega["passed"] is True
+    # theta * C is about 2077 here, so the bound underflows and says nothing.
+    assert omega["bound_C"] * omega["theta"] > 2000.0
+    assert omega["omega"] == 0.0 and omega["vacuous"] is True
     assert "smfe" in diag
 
     report = json.loads((out / "report.json").read_text())
@@ -255,6 +259,7 @@ def test_shipped_configs_validate(repo_root):
 
 
 def test_help_and_module_entry(tmp_path, repo_root):
+    import os
     import subprocess
     import sys
 
@@ -267,9 +272,13 @@ def test_help_and_module_entry(tmp_path, repo_root):
                                                solver={"max_iters": 5,
                                                        "exploitability_tol": 1e-9,
                                                        "record_trace": True}))
+    # The source tree goes first on the child's path, as it does on pytest's,
+    # so the entry point runs without an installed package.
+    paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-m", "mfgcommute", "validate", "--config", str(path)],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0
     assert "config OK" in proc.stdout

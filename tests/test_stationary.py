@@ -7,7 +7,10 @@ import pytest
 from scipy.optimize import root
 from scipy.special import softmax
 
+from mfgcommute import stationary
+from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
 from mfgcommute.core import (
+    DIST_TOL,
     CostModel,
     InvalidInputError,
     SolverFailure,
@@ -24,6 +27,7 @@ from mfgcommute.route import RouteInertiaSpec, logit_sue, path_costs, route_cost
 from mfgcommute.stationary import (
     StationaryPair,
     augmented_cost_profile,
+    omega_bound,
     omega_bound_check,
     sdsue_check,
     smfe_residuals,
@@ -139,6 +143,12 @@ def exact_pair_e1t1(route_cm_e1t1, pair_e1t1):
     if not max(r1, r2) <= EXACT_TOL:
         raise RuntimeError(f"exact stationary solve failed: residuals ({r1:.2e}, {r2:.2e})")
     return pair
+
+
+@pytest.fixture(scope="module")
+def bottleneck_cm_e1t20(repo_root):
+    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
+    return bottleneck_cost_model(spec, 20.0), spec
 
 
 def two_state_model(f0=0.0, f1=0.5, eps=0.3, theta=2.0):
@@ -327,3 +337,67 @@ def test_solver_failure_carries_residuals():
         solve_smfe(cm, tol=1e-16, max_outer=40, fallback=False)
     assert exc.value.payload is not None
     assert "r2" in exc.value.payload
+
+
+def test_relative_values_solve_the_average_cost_equation(
+        route_cm_e1t1, grid9, bottleneck_cm_e1t20):
+    # Policy iteration at a frozen mean field ends at G V = V + lambda up to
+    # rounding, on a mild, a stiff (theta = 20) and the 40-slice model.
+    models = [route_cm_e1t1,
+              route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 0.0)),
+              bottleneck_cm_e1t20[0]]
+    rng = np.random.default_rng(3)
+    for cm in models:
+        mu = rng.dirichlet(np.ones(cm.M))
+        v, lam, pi = stationary._relative_values(cm, mu, np.zeros(cm.M))
+        backed, backed_pi = bellman_apply(v, mu, cm)
+        assert v[0] == 0.0
+        assert np.max(np.abs(backed - v - lam)) <= 1e-12 * max(1.0, abs(lam))
+        assert np.array_equal(pi, backed_pi)
+
+
+def test_relative_values_independent_of_start(route_cm_e1t1, bottleneck_cm_e1t20):
+    rng = np.random.default_rng(4)
+    for cm in (route_cm_e1t1, bottleneck_cm_e1t20[0]):
+        mu = rng.dirichlet(np.ones(cm.M))
+        v0, lam0, _ = stationary._relative_values(cm, mu, np.zeros(cm.M))
+        v1, lam1, _ = stationary._relative_values(cm, mu, 50.0 * rng.normal(size=cm.M))
+        scale = max(1.0, abs(lam0))
+        assert abs(lam1 - lam0) <= 1e-12 * scale
+        assert np.max(np.abs(v1 - v0)) <= 1e-12 * max(scale, np.max(np.abs(v0)))
+
+
+def test_invariant_law_of_a_nearly_degenerate_policy(bottleneck_cm_e1t20):
+    # A population bunched around the desired arrival slice prices the far
+    # slices so high that the policy has entries far below 1e-16.  The law
+    # must still be a distribution that the policy leaves in place, although
+    # rounding in the solve lands a few of its tiny entries below 0 for some
+    # of these bunches.
+    cm, spec = bottleneck_cm_e1t20
+    slices = np.arange(cm.M)
+    for centre in spec.r / spec.slice_hours + np.array([-1.0, 0.0, 1.0]):
+        for width in (1.5, 2.0, 3.0, 4.0, 6.0):
+            w = np.exp(-((slices - centre) / width) ** 2)
+            mu = w / w.sum()
+            _, _, pi = stationary._relative_values(cm, mu, np.zeros(cm.M))
+            assert pi.min() < 1e-200
+            nu = stationary._stationary_distribution(pi)
+            assert np.all(nu >= 0.0)
+            assert abs(math.fsum(nu) - 1.0) <= DIST_TOL
+            assert dist_distance(forward_step(pi, nu), nu) <= 1e-14
+
+
+def test_invariant_law_of_two_state_chain():
+    # Leaving state 0 with probability p and state 1 with probability q gives
+    # the law (q, p) / (p + q).
+    for p, q in ((0.3, 0.6), (0.5, 0.5), (1e-9, 0.2), (0.999, 1e-12)):
+        pi = np.array([[1.0 - p, p], [q, 1.0 - q]])
+        nu = stationary._stationary_distribution(pi)
+        exact = np.array([q, p]) / (p + q)
+        assert np.max(np.abs(nu - exact)) <= 1e-15
+
+
+def test_omega_bound_value():
+    cm = two_state_model()  # theta 2, C 1, M 2
+    assert omega_bound(cm) == pytest.approx(math.exp(-8.0) / 2.0, rel=1e-15)
+    assert omega_bound(two_state_model(theta=200.0)) == 0.0
