@@ -4,9 +4,9 @@ With epsilon = 0 every day after day 0 of bottleneck_e0t20 is the static
 logit fixed point mu = softmax(-theta f(mu)), and fictitious play on it is
 the method of successive averages.  This script
 
-1. solves that fixed point by theta-continuation with scipy's hybr on the
-   logit form z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, and prints its
-   residual and its departure rates against the Vickrey pattern;
+1. solves that fixed point with ``mfgcommute.stationary.logit_sue``, one
+   root solve of its logit form straight at the shipped theta, and prints
+   its residual and its departure rates against the Vickrey pattern;
 2. prints the leading eigenvalues of the best-response Jacobian there and the
    smallest eigenvalue of the symmetric part of the cost Jacobian, both on
    the tangent space of the simplex.  Averaging converges to the point only
@@ -26,30 +26,13 @@ import argparse
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import root
 from scipy.special import softmax
 
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from mfgcommute.fictitious import FPConfig, fictitious_play
+from mfgcommute.stationary import logit_sue
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bottleneck_e0t20.json"
-
-
-def logit_fixed_point(cm, theta):
-    """Continuation in theta from 0.5 to ``theta``; returns the fixed point."""
-    def to_mu(z):
-        return softmax(np.concatenate([[0.0], z]))
-
-    def logit_residual(z, th):
-        f = cm.cost(to_mu(z))
-        return z + th * (f[1:] - f[0])
-
-    z = np.zeros(cm.M - 1)
-    for th in np.linspace(0.5, theta, 40):
-        sol = root(logit_residual, z, args=(th,), method="hybr",
-                   options={"xtol": 1e-14})
-        z = sol.x
-    return to_mu(z)
 
 
 def tangent_jacobians(cm, mu, theta, h=1e-7):
@@ -84,7 +67,7 @@ def main(argv=None):
     cm, spec = build_scenario(cfg)
     theta = cfg.theta
 
-    mu = logit_fixed_point(cm, theta)
+    mu = logit_sue(cm)
     resid = np.max(np.abs(softmax(-theta * cm.cost(mu)) - mu))
     print(f"logit fixed point at theta={theta:g}: residual {resid:.1e}")
     rates = mu / spec.normalized_capacity

@@ -22,9 +22,7 @@ from .core import CostModel, InvalidInputError
 
 __all__ = [
     "BottleneckSpec",
-    "bottleneck_delay",
     "delay_profile",
-    "departure_cost",
     "departure_costs",
     "shift_inertia",
     "bottleneck_cost_model",
@@ -103,13 +101,6 @@ def delay_profile(mu, spec: BottleneckSpec) -> np.ndarray:
     return (g - np.minimum.accumulate(g, axis=-1)) * spec.slice_hours
 
 
-def bottleneck_delay(s: int, mu, spec: BottleneckSpec) -> float:
-    """Queuing delay of slice ``s`` in hours (always >= 0)."""
-    if not 0 <= s < spec.M:
-        raise InvalidInputError(f"slice index {s} out of range")
-    return float(delay_profile(mu, spec)[s])
-
-
 def departure_costs(mu, spec: BottleneckSpec) -> np.ndarray:
     """Delay plus scheduling cost of every slice.
 
@@ -121,12 +112,6 @@ def departure_costs(mu, spec: BottleneckSpec) -> np.ndarray:
     early = np.maximum(spec.r - s_h - t, 0.0)
     late = np.maximum(s_h + t - spec.r, 0.0)
     return spec.alpha * t + spec.beta * early + spec.gamma * late
-
-
-def departure_cost(s: int, mu, spec: BottleneckSpec) -> float:
-    if not 0 <= s < spec.M:
-        raise InvalidInputError(f"slice index {s} out of range")
-    return float(departure_costs(mu, spec)[s])
 
 
 def shift_inertia(s: int, s_prime: int, spec: BottleneckSpec) -> float:

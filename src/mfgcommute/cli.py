@@ -32,12 +32,12 @@ from .core import (
     uniform_distribution,
 )
 from .fictitious import FPConfig, fictitious_play
-from .route import RouteInertiaSpec, link_flows, load_network, logit_sue, route_cost_model
+from .route import RouteInertiaSpec, link_flows, load_network, route_cost_model
 from .stationary import (
     augmented_cost_profile,
+    logit_sue,
     omega_bound,
     omega_bound_check,
-    sdsue_check,
     smfe_residuals,
     solve_smfe,
     value_gap_check,
@@ -67,7 +67,6 @@ class ExperimentConfig:
     mu0: object  # "uniform" or list of floats
     max_iters: int
     exploitability_tol: float
-    record_trace: bool
     outputs: str
     policy_days: list[int] | None
     base_dir: Path
@@ -89,7 +88,6 @@ class ExperimentConfig:
             "solver": {
                 "max_iters": self.max_iters,
                 "exploitability_tol": self.exploitability_tol,
-                "record_trace": self.record_trace,
             },
             "outputs": self.outputs,
             "policy_days": self.policy_days,
@@ -141,9 +139,6 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         raise ConfigError("solver", "must be an object")
     max_iters = _as_number(solver.get("max_iters", 500), "solver.max_iters", int)
     tol = _as_number(solver.get("exploitability_tol", 1e-6), "solver.exploitability_tol")
-    record_trace = solver.get("record_trace", True)
-    if not isinstance(record_trace, bool):
-        raise ConfigError("solver.record_trace", "must be a boolean")
     policy_days = raw.get("policy_days")
     if policy_days is not None:
         if not isinstance(policy_days, list):
@@ -162,7 +157,6 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         mu0=mu0,
         max_iters=max_iters,
         exploitability_tol=tol,
-        record_trace=record_trace,
         outputs=str(raw.get("outputs", "out")),
         policy_days=policy_days,
         base_dir=base_dir,
@@ -274,39 +268,46 @@ def _augmented_flatness(avg_mf, cm):
     return out
 
 
-def _smfe_summary(cm, avg_mf, max_outer=5_000):
-    """Bounded stationary solve for the diagnostics file; never raises."""
+def _solve_fp(cfg: ExperimentConfig, out_dir):
+    """Shared start of ``run`` and ``smfe``: scenario, output directory, FP solve."""
+    cm, scen = build_scenario(cfg)
+    mu0 = _resolve_mu0(cfg, cm.M)
+    out = Path(out_dir) if out_dir is not None else Path(cfg.outputs)
+    out.mkdir(parents=True, exist_ok=True)
+    report = fictitious_play(
+        cm,
+        FPConfig(
+            mu0=mu0,
+            horizon=cfg.horizon,
+            max_iters=cfg.max_iters,
+            exploitability_tol=cfg.exploitability_tol,
+        ),
+    )
+    return cm, scen, mu0, out, report
+
+
+def _solve_stationary(cm, **budget):
+    """Stationary solve as a record, converged or not, plus the pair (None on failure)."""
     try:
-        pair = solve_smfe(cm, max_outer=max_outer, fallback=False)
-        r1, r2 = smfe_residuals(pair, cm)
-        found = {"converged": True, "r1": r1, "r2": r2,
-                 "lambda_bar": pair.lambda_bar, "mu_bar": pair.mu_bar}
+        pair = solve_smfe(cm, **budget)
     except SolverFailure as exc:
-        found = {"converged": False, **(exc.payload or {})}
-    mu = found.get("mu_bar")
+        keys = ("V_bar", "mu_bar", "lambda_bar", "r1", "r2")
+        return {"converged": False, **{key: exc.payload[key] for key in keys}}, None
+    r1, r2 = smfe_residuals(pair, cm)
     return {
-        "converged": found["converged"],
-        **{key: found.get(key) for key in ("r1", "r2", "lambda_bar")},
-        "df_last_day": None if mu is None else dist_distance(mu, avg_mf[-1]),
-    }
+        "converged": True,
+        "V_bar": pair.V_bar,
+        "mu_bar": pair.mu_bar,
+        "lambda_bar": pair.lambda_bar,
+        "r1": r1,
+        "r2": r2,
+    }, pair
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run the configured experiment and write its artifact files."""
     started = time.perf_counter()
-    cm, scen = build_scenario(cfg)
-    mu0 = _resolve_mu0(cfg, cm.M)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-
-    fp_cfg = FPConfig(
-        mu0=mu0,
-        horizon=cfg.horizon,
-        max_iters=cfg.max_iters,
-        exploitability_tol=cfg.exploitability_tol,
-        record_trace=cfg.record_trace,
-    )
-    report = fictitious_play(cm, fp_cfg)
+    cm, scen, mu0, out, report = _solve_fp(cfg, out_dir)
 
     write_csv(report.avg_mf, out / "mf_trace.csv")
     write_csv(report.value_seq, out / "values.csv")
@@ -318,10 +319,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         out / "exploitability.csv",
     )
 
+    # A bounded diagnostic: it never raises and it never re-seeds.
+    smfe, _ = _solve_stationary(cm, max_outer=5_000, fallback=False)
     omega = omega_bound(cm)
     diagnostics = {
         "augmented_cost_flatness": _augmented_flatness(report.avg_mf, cm),
-        "smfe": _smfe_summary(cm, report.avg_mf),
+        "smfe": {
+            **{key: smfe[key] for key in ("converged", "r1", "r2", "lambda_bar")},
+            "df_last_day": dist_distance(smfe["mu_bar"], report.avg_mf[-1]),
+        },
         "omega_bound": {
             "passed": omega_bound_check(report.avg_mf, cm),
             "omega": omega,
@@ -359,57 +365,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 
 def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
     """Solve the stationary pair, compare with the day-to-day run, write smfe.json."""
-    cm, scen = build_scenario(cfg)
-    mu0 = _resolve_mu0(cfg, cm.M)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.outputs)
-    out.mkdir(parents=True, exist_ok=True)
-
-    report = fictitious_play(
-        cm,
-        FPConfig(
-            mu0=mu0,
-            horizon=cfg.horizon,
-            max_iters=cfg.max_iters,
-            exploitability_tol=cfg.exploitability_tol,
-            record_trace=False,
-        ),
-    )
-
-    payload: dict = {"converged": False}
-    code = 0
-    try:
-        pair = solve_smfe(cm)
-        r1, r2 = smfe_residuals(pair, cm)
-        payload = {
-            "converged": True,
-            "V_bar": pair.V_bar,
-            "mu_bar": pair.mu_bar,
-            "lambda_bar": pair.lambda_bar,
-            "r1": r1,
-            "r2": r2,
-            "sdsue_residual": sdsue_check(pair.mu_bar, pair.pi_bar),
-            "df_per_day": [
-                dist_distance(report.avg_mf[n], pair.mu_bar) for n in range(cfg.horizon)
-            ],
-        }
-        if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
-            payload["value_gap_check"] = value_gap_check(pair, cm)
-        if cfg.scenario == "route" and cfg.epsilon == 0.0:
-            try:
-                sue = logit_sue(scen, cfg.theta)
-                payload["df_to_logit_sue"] = dist_distance(pair.mu_bar, sue)
-            except SolverFailure as exc:
-                payload["df_to_logit_sue"] = None
-                logger.warning("logit SUE benchmark failed: %s", exc)
-    except SolverFailure as exc:
-        data = exc.payload or {}
-        payload = {"converged": False, **{
-            key: data.get(key) for key in ("r1", "r2", "lambda_bar", "mu_bar", "V_bar")
-        }}
-        code = 2
-        logger.warning("stationary solve failed: %s", exc)
+    cm, _, _, out, report = _solve_fp(cfg, out_dir)
+    payload, pair = _solve_stationary(cm)
+    if pair is None:
+        logger.warning(
+            "stationary solve failed: residuals r1=%.3e, r2=%.3e", payload["r1"], payload["r2"]
+        )
+        dump_json(payload, out / "smfe.json")
+        return 2
+    payload["df_per_day"] = [
+        dist_distance(report.avg_mf[n], pair.mu_bar) for n in range(cfg.horizon)
+    ]
+    if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
+        payload["value_gap_check"] = value_gap_check(pair, cm)
+    if cfg.scenario == "route" and cfg.epsilon == 0.0:
+        try:
+            payload["df_to_logit_sue"] = dist_distance(pair.mu_bar, logit_sue(cm))
+        except SolverFailure as exc:
+            payload["df_to_logit_sue"] = None
+            logger.warning("logit SUE benchmark failed: %s", exc)
     dump_json(payload, out / "smfe.json")
-    return code
+    return 0
 
 
 # ---------------------------------------------------------------------------

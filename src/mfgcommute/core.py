@@ -33,7 +33,6 @@ __all__ = [
     "NumericError",
     "SolverFailure",
     "CostModel",
-    "DampedStep",
     "check_distribution",
     "check_mean_field_seq",
     "check_policy",
@@ -182,42 +181,6 @@ class CostModel:
     def M(self) -> int:
         """Number of travel options."""
         return self.inertia_matrix.shape[0]
-
-
-class DampedStep:
-    """Step controller of the damped update mu <- (1-a) mu + a target.
-
-    A fixed step can lock into a two-cycle when theta times the cost spread
-    is stiff, so the step is halved (and the halved value becomes the cap)
-    after 50 rounds without a new best residual, down to 2**-20, and doubled
-    back toward the cap after 50 rounds of improvement.  Deterministic.
-    """
-
-    def __init__(self, step: float):
-        self.step = step
-        self.ceiling = step
-        self.best = math.inf
-        self.stall = 0
-        self.grow = 0
-
-    def move(self, mu, target, residual: float) -> np.ndarray:
-        """Adapt the step to ``residual``, then damp ``mu`` toward ``target``."""
-        if residual < self.best:
-            self.best = residual
-            self.stall = 0
-            self.grow += 1
-            if self.grow >= 50:
-                self.step = min(2.0 * self.step, self.ceiling)
-                self.grow = 0
-        else:
-            self.stall += 1
-            self.grow = 0
-            if self.stall >= 50 and self.step > 2.0**-20:
-                self.step *= 0.5
-                self.ceiling = self.step
-                self.stall = 0
-        mu = (1.0 - self.step) * mu + self.step * target
-        return mu / math.fsum(mu)
 
 
 # ---------------------------------------------------------------------------

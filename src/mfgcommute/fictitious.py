@@ -26,12 +26,11 @@ from .core import (
     _backward_induction_core,
     _forward_propagate_core,
     _policy_evaluate_core,
-    backward_induction,
     check_distribution,
+    check_mean_field_seq,
     check_policy_seq,
     forward_propagate,
     seq_distance,
-    total_cost,
     uniform_policy_seq,
 )
 
@@ -51,9 +50,7 @@ logger = logging.getLogger(__name__)
 class FPConfig:
     """Inputs of the fictitious play loop.
 
-    ``initial_policy`` defaults to all-uniform rows; ``record_trace`` turns
-    the per-iteration exploitability trace in the report on or off (the
-    stopping rule evaluates it either way).
+    ``initial_policy`` defaults to all-uniform rows.
     """
 
     mu0: np.ndarray
@@ -61,7 +58,6 @@ class FPConfig:
     max_iters: int = 500
     exploitability_tol: float = 1e-6
     initial_policy: np.ndarray | None = None
-    record_trace: bool = True
 
     def __post_init__(self):
         self.mu0 = check_distribution(self.mu0, "initial distribution")
@@ -108,6 +104,12 @@ def fp_average_mf(prev_avg, new_mf, j: int) -> np.ndarray:
     return ((j - 1) / j) * prev_avg + (1.0 / j) * new_mf
 
 
+def _accumulate(num, den, mf, pol):
+    # Fold one iterate into the occupancy-weighted sums, in place.
+    num += mf[:, :, None] * pol
+    den += mf
+
+
 def _weighted_policy_average(num, den, m):
     # Rows never visited get the uniform row: they carry no mass, and a
     # deterministic filler keeps runs reproducible.  Visited rows are
@@ -137,9 +139,14 @@ def fp_average_policy(history, j: int) -> np.ndarray:
         pol = np.asarray(history[i][1], dtype=float)
         if mf.shape != (n_days, m) or pol.shape != (n_days, m, m):
             raise InvalidInputError("history entries have inconsistent shapes")
-        num += mf[:, :, None] * pol
-        den += mf
+        _accumulate(num, den, mf, pol)
     return _weighted_policy_average(num, den, m)
+
+
+def _gap(pi, f_table, br_values, cm, mu0):
+    # Cost of holding ``pi`` minus the best-response cost on the same table.
+    held = _policy_evaluate_core(pi, f_table, cm.inertia_matrix, cm.theta)
+    return float(np.sum(mu0 * held[0])) - float(np.sum(mu0 * br_values[0]))
 
 
 def exploitability(pi, mu, cm: CostModel, mu0) -> float:
@@ -149,13 +156,16 @@ def exploitability(pi, mu, cm: CostModel, mu0) -> float:
     ``mu0``); the best-response side is computed exactly by backward
     induction, so the gap is non-negative up to rounding.
     """
-    induced = forward_propagate(pi, mu0)
-    mu = np.asarray(mu, dtype=float)
-    if seq_distance(induced, mu) > 1e-8:
-        raise InvalidInputError("mean field is not the flow induced by the policy")
-    opt_values, _ = backward_induction(mu, cm)
+    pi = check_policy_seq(pi)
+    mu = check_mean_field_seq(mu)
     mu0 = check_distribution(mu0, "initial distribution")
-    return total_cost(pi, mu, cm, mu0) - float(np.sum(mu0 * opt_values[0]))
+    if mu.shape[1] != cm.M:
+        raise InvalidInputError("mean field dimension does not match model")
+    if seq_distance(forward_propagate(pi, mu0), mu) > 1e-8:
+        raise InvalidInputError("mean field is not the flow induced by the policy")
+    f_table = cm.cost(mu)
+    br_values, _ = _backward_induction_core(f_table, cm.inertia_matrix, cm.theta)
+    return _gap(pi, f_table, br_values, cm, mu0)
 
 
 def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
@@ -188,18 +198,15 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
         f_table = cm.cost(avg_mf)
         br_values, br_policy = _backward_induction_core(f_table, d, cm.theta)
         if avg_pol is not None:
-            held = _policy_evaluate_core(avg_pol, f_table, d, cm.theta)
-            gap = float(np.sum(cfg.mu0 * held[0])) - float(np.sum(cfg.mu0 * br_values[0]))
-            if cfg.record_trace:
-                trace.append(gap)
+            gap = _gap(avg_pol, f_table, br_values, cm, cfg.mu0)
+            trace.append(gap)
             logger.debug("iteration %d exploitability %.3e", j - 1, gap)
             converged = gap <= cfg.exploitability_tol
             if converged or j > cfg.max_iters:
                 break
         induced = _forward_propagate_core(br_policy, cfg.mu0)
         avg_mf = fp_average_mf(avg_mf, induced, j)
-        num += induced[:, :, None] * br_policy
-        den += induced
+        _accumulate(num, den, induced, br_policy)
         avg_pol = _weighted_policy_average(num, den, m)
 
     logger.info(

@@ -10,22 +10,13 @@ flat penalty for switching paths or a penalty shrinking with path overlap.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CostModel,
-    DampedStep,
-    InvalidInputError,
-    SolverFailure,
-    check_distribution,
-    dist_distance,
-    uniform_distribution,
-)
+from .core import CostModel, InvalidInputError
 
 __all__ = [
     "Link",
@@ -33,9 +24,7 @@ __all__ = [
     "RouteInertiaSpec",
     "link_flows",
     "bpr_time",
-    "path_cost",
     "path_costs",
-    "logit_sue",
     "route_cost_model",
     "load_network",
 ]
@@ -134,13 +123,6 @@ def path_costs(mu, net: RoadNetwork) -> np.ndarray:
     return (net.incidence * times[..., None, :]).sum(axis=-1)
 
 
-def path_cost(s: int, mu, net: RoadNetwork) -> float:
-    """Travel cost of path ``s``: sum of BPR times over its links."""
-    if not 0 <= s < net.num_paths:
-        raise InvalidInputError(f"path index {s} out of range")
-    return float(path_costs(mu, net)[s])
-
-
 @dataclass(frozen=True)
 class RouteInertiaSpec:
     """Switching-cost shape: flat indicator penalty or overlap-scaled penalty."""
@@ -184,38 +166,6 @@ def route_cost_model(
         inertia_matrix=inertia.matrix(net),
         theta=theta,
         bound_C=worst + inertia.epsilon,
-    )
-
-
-def logit_sue(
-    net: RoadNetwork,
-    theta: float,
-    max_iters: int = 100_000,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Logit stochastic user equilibrium of the one-day route choice.
-
-    Damped fixed-point iteration mu <- (1-a) mu + a softmax(-theta f(., mu))
-    until the residual d_f(mu, softmax(-theta f(., mu))) drops below ``tol``.
-    The step starts at 0.5 and adapts through :class:`DampedStep`, which
-    halves it whenever the residual stops improving.
-    """
-    if theta <= 0.0:
-        raise InvalidInputError("theta must be positive")
-    mu = uniform_distribution(net.num_paths)
-    residual = math.inf
-    damper = DampedStep(0.5)
-    for _ in range(max_iters):
-        scores = -theta * path_costs(mu, net)
-        weights = np.exp(scores - scores.max())
-        target = weights / weights.sum()
-        residual = dist_distance(mu, target)
-        if residual <= tol:
-            return check_distribution(mu, "SUE distribution")
-        mu = damper.move(mu, target, residual)
-    raise SolverFailure(
-        f"logit SUE did not reach tol={tol:g} (last residual {residual:.3e})",
-        residual=residual,
     )
 
 

@@ -9,9 +9,11 @@ damps the distribution toward that law.  Values are gauge-fixed to V(0) = 0
 since the pair only pins values up to an additive constant.
 
 The diagnostics connect the stationary pair to classical within-day
-equilibrium notions: the switching-invariance residual, the value/travel-cost
-gap bracket under flat switching penalties, the population lower bound, and
-the flatness of the entropy-augmented cost profile.
+equilibrium notions: the logit equilibrium (the stationary distribution
+without inertia, solved directly by one root solve), the
+switching-invariance residual, the value/travel-cost gap bracket under flat
+switching penalties, the population lower bound, and the flatness of the
+entropy-augmented cost profile.
 """
 
 from __future__ import annotations
@@ -21,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import xlogy
+from scipy.special import softmax, xlogy
 
 from .core import (
     CostModel,
-    DampedStep,
     InvalidInputError,
     SolverFailure,
     _bellman_core,
@@ -41,6 +42,7 @@ from .fictitious import FPConfig, fictitious_play
 __all__ = [
     "StationaryPair",
     "solve_smfe",
+    "logit_sue",
     "smfe_residuals",
     "sdsue_check",
     "value_gap_check",
@@ -107,6 +109,42 @@ def _stationary_distribution(pi):
     return nu / math.fsum(nu)
 
 
+class DampedStep:
+    """Step controller of the damped update mu <- (1-a) mu + a target.
+
+    A fixed step can lock into a two-cycle when theta times the cost spread
+    is stiff, so the step is halved (and the halved value becomes the cap)
+    after 50 rounds without a new best residual, down to 2**-20, and doubled
+    back toward the cap after 50 rounds of improvement.  Deterministic.
+    """
+
+    def __init__(self, step: float):
+        self.step = step
+        self.ceiling = step
+        self.best = math.inf
+        self.stall = 0
+        self.grow = 0
+
+    def move(self, mu, target, residual: float) -> np.ndarray:
+        """Adapt the step to ``residual``, then damp ``mu`` toward ``target``."""
+        if residual < self.best:
+            self.best = residual
+            self.stall = 0
+            self.grow += 1
+            if self.grow >= 50:
+                self.step = min(2.0 * self.step, self.ceiling)
+                self.grow = 0
+        else:
+            self.stall += 1
+            self.grow = 0
+            if self.stall >= 50 and self.step > 2.0**-20:
+                self.step *= 0.5
+                self.ceiling = self.step
+                self.stall = 0
+        mu = (1.0 - self.step) * mu + self.step * target
+        return mu / math.fsum(mu)
+
+
 def solve_smfe(
     cm: CostModel,
     init=None,
@@ -170,10 +208,42 @@ def _fallback_seed(cm, horizon=200):
             horizon=horizon,
             max_iters=500,
             exploitability_tol=1e-9,
-            record_trace=False,
         ),
     )
     return report.avg_mf[horizon // 2]
+
+
+def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
+    """Logit equilibrium mu = softmax(-theta f(mu)) of the one-day choice.
+
+    The stationary distribution of a model without inertia.  One root solve
+    by MINPACK's Powell hybrid method (scipy's ``hybr``) of the logit form
+    z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, mu(z) = softmax([0, z]),
+    from the uniform distribution z = 0.  The inertia matrix is ignored.
+    Certified by the residual d_f(mu, softmax(-theta f(mu))) <= ``tol``;
+    raises SolverFailure with that residual otherwise.
+    """
+    # Imported on first use: scipy.optimize adds about 60% to the import time
+    # of the package, and no other code path needs it.
+    from scipy.optimize import root
+
+    def to_mu(z):
+        return softmax(np.concatenate([[0.0], z]))
+
+    def logit_form(z):
+        f = cm.cost(to_mu(z))
+        return z + cm.theta * (f[1:] - f[0])
+
+    sol = root(logit_form, np.zeros(cm.M - 1), method="hybr", options={"xtol": 1e-14})
+    mu = to_mu(sol.x)
+    residual = dist_distance(mu, softmax(-cm.theta * cm.cost(mu)))
+    if not residual <= tol:
+        raise SolverFailure(
+            f"logit SUE stopped at residual {residual:.3e} above tol={tol:g} "
+            f"({sol.message})",
+            residual=residual,
+        )
+    return check_distribution(mu, "SUE distribution")
 
 
 def smfe_residuals(p: StationaryPair, cm: CostModel):

@@ -33,9 +33,10 @@ from mfgcommute.core import (
     uniform_distribution,
 )
 from mfgcommute.fictitious import FPConfig, fictitious_play
-from mfgcommute.route import logit_sue, path_costs
+from mfgcommute.route import path_costs
 from mfgcommute.stationary import (
     augmented_cost_profile,
+    logit_sue,
     omega_bound_check,
     sdsue_check,
     smfe_residuals,
@@ -65,8 +66,7 @@ def run_config(repo_root, name):
     report = fictitious_play(
         cm,
         FPConfig(mu0=mu0, horizon=cfg.horizon, max_iters=cfg.max_iters,
-                 exploitability_tol=cfg.exploitability_tol,
-                 record_trace=cfg.record_trace),
+                 exploitability_tol=cfg.exploitability_tol),
     )
     return cfg, cm, scen, report
 
@@ -150,7 +150,7 @@ def test_criterion_05_last_day_policy_structure(run_e1t1):
 def test_criterion_06_stationary_sue_correspondence(route_cm_e0t1, grid9):
     pair = solve_smfe(route_cm_e0t1)
     r1, r2 = smfe_residuals(pair, route_cm_e0t1)
-    gap = dist_distance(pair.mu_bar, logit_sue(grid9, 1.0))
+    gap = dist_distance(pair.mu_bar, logit_sue(route_cm_e0t1))
     ok = gap <= 1e-7 and r1 <= 1e-8 and r2 <= 1e-8
     _report(6, "stationary pair is the logit SUE", ok,
             f"d_f {gap:.2e}, residuals ({r1:.2e}, {r2:.2e})")

@@ -6,9 +6,7 @@ import pytest
 from mfgcommute.bottleneck import (
     BottleneckSpec,
     bottleneck_cost_model,
-    bottleneck_delay,
     delay_profile,
-    departure_cost,
     departure_costs,
     load_spec,
     shift_inertia,
@@ -92,10 +90,11 @@ def test_departure_cost_scheduling_arithmetic():
                           alpha=10, beta=5, gamma=15, r=2.0, epsilon=1.0)
     mu = np.full(30, 1.0 / 30.0)  # below capacity: zero queue
     assert np.allclose(delay_profile(mu, spec), 0.0, atol=1e-15)
-    assert departure_cost(20, mu, spec) == pytest.approx(0.0, abs=1e-12)
-    assert departure_cost(10, mu, spec) == pytest.approx(5.0, abs=1e-12)  # 1 h early
-    assert departure_cost(25, mu, spec) == pytest.approx(7.5, abs=1e-12)  # 0.5 h late
-    assert np.all(departure_costs(mu, spec) >= 0.0)
+    f = departure_costs(mu, spec)
+    assert f[20] == pytest.approx(0.0, abs=1e-12)
+    assert f[10] == pytest.approx(5.0, abs=1e-12)  # 1 h early
+    assert f[25] == pytest.approx(7.5, abs=1e-12)  # 0.5 h late
+    assert np.all(f >= 0.0)
 
 
 def test_shift_inertia_values(guo):
@@ -175,11 +174,3 @@ def test_load_spec_malformed(tmp_path):
     bad.write_text('{"M": 40}')
     with pytest.raises(InvalidInputError):
         load_spec(bad)
-
-
-def test_delay_index_bounds(guo):
-    mu = np.full(40, 1.0 / 40.0)
-    with pytest.raises(InvalidInputError):
-        bottleneck_delay(40, mu, guo)
-    with pytest.raises(InvalidInputError):
-        departure_cost(-1, mu, guo)

@@ -25,8 +25,7 @@ def route_config(repo_root, out_dir, **overrides):
         "epsilon": 1.0,
         "inertia_kind": "indicator",
         "mu0": [0.1, 0.1, 0.5, 0.1, 0.1, 0.1],
-        "solver": {"max_iters": 40, "exploitability_tol": 1e-9,
-                   "record_trace": True},
+        "solver": {"max_iters": 40, "exploitability_tol": 1e-9},
         "outputs": str(out_dir),
         "seed": 0,
     }
@@ -159,6 +158,11 @@ def test_config_echo_round_trips(tmp_path, repo_root):
     echo = json.loads((out / "report.json").read_text())["config"]
     again = config_from_dict(echo, tmp_path)
     assert again.to_dict() == cfg.to_dict()
+    # Keys the runner does not read, such as an older config's
+    # solver.record_trace, are ignored.
+    legacy = route_config(repo_root, out)
+    legacy["solver"]["record_trace"] = False
+    assert config_from_dict(legacy, tmp_path).to_dict() == cfg.to_dict()
 
 
 def test_policy_days_override(tmp_path, repo_root):
@@ -200,8 +204,7 @@ def test_bottleneck_run(tmp_path, repo_root):
             "theta": 20.0,
             "epsilon": 0.0,
             "mu0": "uniform",
-            "solver": {"max_iters": 30, "exploitability_tol": 1e-9,
-                       "record_trace": True},
+            "solver": {"max_iters": 30, "exploitability_tol": 1e-9},
             "outputs": str(out),
             "seed": 0,
         },
@@ -218,8 +221,7 @@ def test_smfe_command(tmp_path, repo_root):
     out = tmp_path / "out"
     cfg = config_from_dict(
         route_config(repo_root, out, epsilon=0.0,
-                     solver={"max_iters": 30, "exploitability_tol": 1e-9,
-                             "record_trace": False}),
+                     solver={"max_iters": 30, "exploitability_tol": 1e-9}),
         tmp_path,
     )
     assert compare_smfe(cfg, out) == 0
@@ -270,8 +272,7 @@ def test_help_and_module_entry(tmp_path, repo_root):
     path = write_config(tmp_path, route_config(repo_root, tmp_path / "out",
                                                horizon=3,
                                                solver={"max_iters": 5,
-                                                       "exploitability_tol": 1e-9,
-                                                       "record_trace": True}))
+                                                       "exploitability_tol": 1e-9}))
     # The source tree goes first on the child's path, as it does on pytest's,
     # so the entry point runs without an installed package.
     paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]

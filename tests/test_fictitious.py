@@ -169,14 +169,6 @@ def test_fictitious_play_deterministic(route_cm_e1t1, grid9_mu0):
     assert np.array_equal(a.value_seq, b.value_seq)
 
 
-def test_fictitious_play_trace_toggle(route_cm_e1t1, grid9_mu0):
-    cfg = FPConfig(mu0=grid9_mu0, horizon=30, max_iters=10,
-                   exploitability_tol=1e-9, record_trace=False)
-    report = fictitious_play(route_cm_e1t1, cfg)
-    assert report.exploitability_trace == []
-    assert report.iterations_run == 10
-
-
 def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
     # The solver's running averages must agree with recomputing the
     # occupancy-weighted formula from the stored iterates.

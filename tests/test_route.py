@@ -13,12 +13,10 @@ from mfgcommute.route import (
     bpr_time,
     link_flows,
     load_network,
-    logit_sue,
-    path_cost,
     path_costs,
     route_cost_model,
 )
-from mfgcommute.stationary import augmented_cost_profile
+from mfgcommute.stationary import augmented_cost_profile, logit_sue
 
 # Link table and path-link relationship of the nine-node grid, kept inline so
 # the tests do not trust the shipped scenario file.
@@ -86,7 +84,7 @@ def test_path_cost_single_path_pileup(grid9):
             t0 * (1 + b * (2000.0 / c) ** 4)
             for c, b, t0 in (GRID_LINKS[l] for l in path)
         )
-        assert path_cost(s, mu, grid9) == pytest.approx(expected, rel=1e-12)
+        assert path_costs(mu, grid9)[s] == pytest.approx(expected, rel=1e-12)
 
 
 def test_path_cost_free_flow_limit(grid9):
@@ -104,7 +102,7 @@ def test_path_cost_monotone_in_own_share(grid9):
         shifted = mu * (1 - bump / max(1 - mu[s], 1e-12))
         shifted[s] = mu[s] + bump
         shifted /= shifted.sum()
-        assert path_cost(s, shifted, grid9) >= path_cost(s, mu, grid9) - 1e-9
+        assert path_costs(shifted, grid9)[s] >= path_costs(mu, grid9)[s] - 1e-9
 
 
 def test_inertia_specs(grid9):
@@ -147,22 +145,26 @@ def test_cost_model_batched_rows_equal_single_days(route_cm_e1t1):
             assert np.array_equal(batch[n], cm.cost(mu_seq[n]))
 
 
+def no_inertia(net, theta):
+    return route_cost_model(net, theta, RouteInertiaSpec("indicator", 0.0))
+
+
 def test_logit_sue_symmetric_parallel_links():
     net = RoadNetwork(
         links=(Link(500, 0.2, 10), Link(500, 0.2, 10)),
         paths=((0,), (1,)),
         demand=800,
     )
-    assert np.allclose(logit_sue(net, 2.0), [0.5, 0.5], atol=1e-10)
+    assert np.allclose(logit_sue(no_inertia(net, 2.0)), [0.5, 0.5], atol=1e-10)
 
 
 def test_logit_sue_flat_at_tiny_theta(grid9):
-    mu = logit_sue(grid9, 1e-6)
+    mu = logit_sue(no_inertia(grid9, 1e-6))
     assert dist_distance(mu, uniform_distribution(6)) < 1e-4
 
 
 def test_logit_sue_equalizes_augmented_cost(grid9):
-    mu = logit_sue(grid9, 1.0)
+    mu = logit_sue(no_inertia(grid9, 1.0))
     profile = augmented_cost_profile(mu, path_costs(mu, grid9), 1.0)
     assert profile.max() - profile.min() <= 1e-8
 
@@ -193,8 +195,7 @@ def test_link_flow_evolution_unique_across_initial_policies(grid9, grid9_mu0, ro
         rep = fictitious_play(
             route_cm_e1t1,
             FPConfig(mu0=grid9_mu0, horizon=n, max_iters=500,
-                     exploitability_tol=1e-6, initial_policy=pol0,
-                     record_trace=False),
+                     exploitability_tol=1e-6, initial_policy=pol0),
         )
         flows.append(link_flows(rep.avg_mf, grid9))
     assert np.max(np.abs(flows[0] - flows[1])) <= 1e-3 * grid9.demand
@@ -203,6 +204,8 @@ def test_link_flow_evolution_unique_across_initial_policies(grid9, grid9_mu0, ro
 def test_logit_sue_cap_raises_with_residual(grid9):
     from mfgcommute.core import SolverFailure
 
+    # The solve ends near 1e-15 here; a tolerance below rounding is a
+    # failure that must carry the residual it stopped at.
     with pytest.raises(SolverFailure) as exc:
-        logit_sue(grid9, 1.0, max_iters=3)
+        logit_sue(no_inertia(grid9, 1.0), tol=1e-17)
     assert exc.value.residual is not None and exc.value.residual > 0.0

@@ -9,6 +9,7 @@ from scipy.special import softmax
 
 from mfgcommute import stationary
 from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
+from mfgcommute.cli import build_scenario, load_config
 from mfgcommute.core import (
     DIST_TOL,
     CostModel,
@@ -23,10 +24,11 @@ from mfgcommute.core import (
     uniform_distribution,
 )
 from mfgcommute.fictitious import FPConfig, exploitability, fictitious_play
-from mfgcommute.route import RouteInertiaSpec, logit_sue, path_costs, route_cost_model
+from mfgcommute.route import RouteInertiaSpec, path_costs, route_cost_model
 from mfgcommute.stationary import (
     StationaryPair,
     augmented_cost_profile,
+    logit_sue,
     omega_bound,
     omega_bound_check,
     sdsue_check,
@@ -62,7 +64,7 @@ def fp_e1t1(route_cm_e1t1, grid9_mu0):
     return fictitious_play(
         route_cm_e1t1,
         FPConfig(mu0=grid9_mu0, horizon=30, max_iters=2000,
-                 exploitability_tol=1e-9, record_trace=False),
+                 exploitability_tol=1e-9),
     )
 
 
@@ -170,8 +172,8 @@ def test_solve_residuals_within_tolerance(pair_e0t1, pair_e1t1,
         assert np.array_equal(pi, pair.pi_bar)
 
 
-def test_no_inertia_recovers_logit_sue(pair_e0t1, grid9):
-    sue = logit_sue(grid9, 1.0)
+def test_no_inertia_recovers_logit_sue(pair_e0t1, route_cm_e0t1, grid9):
+    sue = logit_sue(route_cm_e0t1)
     assert dist_distance(pair_e0t1.mu_bar, sue) <= 1e-7
     f = path_costs(pair_e0t1.mu_bar, grid9)
     gauge_v = pair_e0t1.V_bar - pair_e0t1.V_bar[0]
@@ -197,9 +199,21 @@ def test_perturbed_distribution_residual_regression(pair_e1t1, route_cm_e1t1):
     assert r2 > 0.01
 
 
+def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
+    # bottleneck_e0t20 (epsilon = 0, theta = 20) solved straight at theta = 20.
+    # Departures run at alpha / (alpha - beta) = 2 times capacity before the
+    # desired arrival and at alpha / (alpha + gamma) = 0.4 times after it.
+    cm, spec = build_scenario(load_config(repo_root / "configs" / "bottleneck_e0t20.json"))
+    mu = logit_sue(cm, tol=1e-12)
+    assert dist_distance(mu, softmax(-cm.theta * cm.cost(mu))) <= 1e-12
+    rates = mu / spec.normalized_capacity
+    assert np.max(np.abs(rates[11:17] - 2.0)) <= 5e-4
+    assert np.max(np.abs(rates[21:34] - 0.4)) <= 5e-4
+
+
 def test_sue_pair_construction_is_stationary(route_cm_e0t1, grid9):
     # With no inertia, (V, mu) = (f(., sue), sue) satisfies both conditions.
-    mu = logit_sue(grid9, 1.0)
+    mu = logit_sue(route_cm_e0t1)
     v = path_costs(mu, grid9)
     lam = -math.log(float(np.exp(-1.0 * v).sum()))
     _, pi = bellman_apply(v, mu, route_cm_e0t1)
@@ -262,8 +276,7 @@ def test_omega_bound_day_zero_exempt(route_cm_e1t1):
 def test_omega_bound_large_theta_trivial(grid9, grid9_mu0):
     cm = route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 0.0))
     rep = fictitious_play(cm, FPConfig(mu0=grid9_mu0, horizon=10, max_iters=50,
-                                       exploitability_tol=1e-9,
-                                       record_trace=False))
+                                       exploitability_tol=1e-9))
     assert omega_bound_check(rep.avg_mf, cm)
 
 
