@@ -11,9 +11,7 @@ from .core import (
     dist_distance,
     forward_propagate,
     forward_step,
-    policy_distance,
     policy_evaluate,
-    seq_distance,
     total_cost,
     uniform_distribution,
     uniform_policy_seq,

@@ -143,8 +143,8 @@ def bottleneck_cost_model(spec: BottleneckSpec, theta: float) -> CostModel:
 
 def load_spec(path) -> BottleneckSpec:
     """Read a scenario file: {M, L, capacity, demand, alpha, beta, gamma, r, epsilon}."""
-    raw = json.loads(Path(path).read_text())
     try:
+        raw = json.loads(Path(path).read_text())
         return BottleneckSpec(
             M=int(raw["M"]),
             L=float(raw["L"]),
@@ -157,5 +157,5 @@ def load_spec(path) -> BottleneckSpec:
             epsilon=float(raw["epsilon"]),
             slice_mapping=str(raw.get("slice_mapping", "left")),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"malformed scenario file {path}: {exc}") from exc

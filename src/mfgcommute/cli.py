@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -25,10 +26,9 @@ from .bottleneck import bottleneck_cost_model, load_spec
 from .core import (
     InvalidInputError,
     SolverFailure,
-    check_distribution,
+    check_stochastic,
     dist_distance,
     forward_propagate,
-    seq_distance,
     uniform_distribution,
 )
 from .fictitious import FPConfig, fictitious_play
@@ -107,6 +107,14 @@ def _as_number(value, name, kind=float):
         raise ConfigError(name, f"expected {kind.__name__}, got {value!r}") from None
 
 
+def _policy_days(days, horizon: int) -> list[int]:
+    days = [_as_number(d, "policy_days", int) for d in days]
+    for d in days:
+        if not 0 <= d < horizon:
+            raise ConfigError("policy_days", f"day {d} outside horizon")
+    return days
+
+
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     scenario = _require(raw, "scenario")
     if scenario not in ("route", "bottleneck"):
@@ -115,13 +123,13 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     if horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
     theta = _as_number(_require(raw, "theta"), "theta")
-    if not theta > 0.0:
-        raise ConfigError("theta", "must be > 0")
+    if not (theta > 0.0 and math.isfinite(theta)):
+        raise ConfigError("theta", "must be > 0 and finite")
     epsilon = raw.get("epsilon")
     if epsilon is not None:
         epsilon = _as_number(epsilon, "epsilon")
-        if epsilon < 0.0:
-            raise ConfigError("epsilon", "must be >= 0")
+        if not (epsilon >= 0.0 and math.isfinite(epsilon)):
+            raise ConfigError("epsilon", "must be >= 0 and finite")
     if scenario == "route" and epsilon is None:
         raise ConfigError("epsilon", "required for the route scenario")
     inertia_kind = raw.get("inertia_kind", "indicator" if scenario == "route" else "shift")
@@ -138,15 +146,16 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
     max_iters = _as_number(solver.get("max_iters", 500), "solver.max_iters", int)
+    if max_iters < 1:
+        raise ConfigError("solver.max_iters", "must be >= 1")
     tol = _as_number(solver.get("exploitability_tol", 1e-6), "solver.exploitability_tol")
+    if not tol > 0.0:
+        raise ConfigError("solver.exploitability_tol", "must be > 0")
     policy_days = raw.get("policy_days")
     if policy_days is not None:
         if not isinstance(policy_days, list):
             raise ConfigError("policy_days", "must be a list of day indices")
-        policy_days = [_as_number(d, "policy_days", int) for d in policy_days]
-        for d in policy_days:
-            if not 0 <= d < horizon:
-                raise ConfigError("policy_days", f"day {d} outside horizon")
+        policy_days = _policy_days(policy_days, horizon)
     return ExperimentConfig(
         scenario=scenario,
         scenario_file=str(_require(raw, "scenario_file")),
@@ -192,11 +201,8 @@ def build_scenario(cfg: ExperimentConfig):
 def _resolve_mu0(cfg: ExperimentConfig, m: int) -> np.ndarray:
     if cfg.mu0 == "uniform":
         return uniform_distribution(m)
-    arr = np.asarray(cfg.mu0, dtype=float)
-    if arr.shape != (m,):
-        raise ConfigError("mu0", f"needs {m} entries for this scenario, got {arr.shape}")
     try:
-        return check_distribution(arr, "mu0")
+        return check_stochastic(cfg.mu0, "mu0", (m,))
     except InvalidInputError as exc:
         raise ConfigError("mu0", str(exc)) from exc
 
@@ -258,12 +264,11 @@ def write_csv(matrix, path: Path) -> None:
 
 def _augmented_flatness(avg_mf, cm):
     out = []
-    for n in range(avg_mf.shape[0]):
-        mu = avg_mf[n]
+    for mu, f in zip(avg_mf, cm.cost(avg_mf)):
         if np.any(mu <= 0.0):
             out.append(None)
             continue
-        profile = augmented_cost_profile(mu, cm.cost(mu), cm.theta)
+        profile = augmented_cost_profile(mu, f, cm.theta)
         out.append(float(profile.max() - profile.min()))
     return out
 
@@ -337,10 +342,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         },
     }
     if cfg.scenario == "route":
-        diagnostics["link_flow_trace"] = [
-            [float(v) for v in link_flows(report.avg_mf[n], scen)]
-            for n in range(cfg.horizon)
-        ]
+        diagnostics["link_flow_trace"] = link_flows(report.avg_mf, scen).tolist()
     dump_json(diagnostics, out / "diagnostics.json")
 
     runtime = time.perf_counter() - started
@@ -351,7 +353,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
             "final_exploitability": (
                 report.exploitability_trace[-1] if report.exploitability_trace else None
             ),
-            "consistency_residual": seq_distance(
+            "consistency_residual": dist_distance(
                 forward_propagate(report.avg_policy, mu0), report.avg_mf
             ),
             "runtime_seconds": runtime,
@@ -373,9 +375,7 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         )
         dump_json(payload, out / "smfe.json")
         return 2
-    payload["df_per_day"] = [
-        dist_distance(report.avg_mf[n], pair.mu_bar) for n in range(cfg.horizon)
-    ]
+    payload["df_per_day"] = np.abs(report.avg_mf - pair.mu_bar).max(axis=1).tolist()
     if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
         payload["value_gap_check"] = value_gap_check(pair, cm)
     if cfg.scenario == "route" and cfg.epsilon == 0.0:
@@ -432,14 +432,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             if args.policy_days is not None:
-                try:
-                    days = [int(d) for d in args.policy_days.split(",") if d.strip()]
-                except ValueError:
-                    raise ConfigError("policy_days", "expected comma-separated integers")
-                for d in days:
-                    if not 0 <= d < cfg.horizon:
-                        raise ConfigError("policy_days", f"day {d} outside horizon")
-                cfg.policy_days = days
+                days = [d for d in args.policy_days.split(",") if d.strip()]
+                cfg.policy_days = _policy_days(days, cfg.horizon)
             return run_experiment(cfg, args.out)
         return compare_smfe(cfg, args.out)
     except ConfigError as exc:

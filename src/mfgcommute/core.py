@@ -33,15 +33,10 @@ __all__ = [
     "NumericError",
     "SolverFailure",
     "CostModel",
-    "check_distribution",
-    "check_mean_field_seq",
-    "check_policy",
-    "check_policy_seq",
+    "check_stochastic",
     "uniform_distribution",
     "uniform_policy_seq",
     "dist_distance",
-    "seq_distance",
-    "policy_distance",
     "bellman_apply",
     "backward_induction",
     "forward_step",
@@ -75,60 +70,29 @@ class SolverFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# validation
 
 
-def _as_float_array(x, name):
+def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
+    """Validate and return an array whose rows along the last axis are distributions.
+
+    ``shape`` gives the expected length of every axis, ``None`` where any
+    length is accepted: ``(M,)`` for one day's split, ``(N, M)`` for a mean
+    field sequence, ``(M, M)`` for a policy, ``(N, M, M)`` for a policy
+    sequence.  Entries must be finite and non-negative, and every row must
+    sum to 1 within DIST_TOL.
+    """
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if arr.shape != shape and (
+        arr.ndim != len(shape)
+        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
-    return arr
-
-
-def check_distribution(p, name: str = "distribution") -> np.ndarray:
-    """Validate and return a probability vector (1-D, >= 0, sums to 1)."""
-    arr = _as_float_array(p, name)
-    if arr.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-D, got shape {arr.shape}")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise InvalidInputError(f"{name} has negative entries")
-    if abs(float(arr.sum()) - 1.0) > DIST_TOL:
-        raise InvalidInputError(f"{name} does not sum to 1 (sum={arr.sum()!r})")
-    return arr
-
-
-def check_mean_field_seq(mu, name: str = "mean field sequence") -> np.ndarray:
-    """Validate an (N, M) stack of distributions."""
-    arr = _as_float_array(mu, name)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-D (days, states)")
-    if np.any(arr < 0.0):
-        raise InvalidInputError(f"{name} has negative entries")
-    if np.max(np.abs(arr.sum(axis=1) - 1.0)) > DIST_TOL:
-        raise InvalidInputError(f"{name} has rows that do not sum to 1")
-    return arr
-
-
-def check_policy(pi, name: str = "policy") -> np.ndarray:
-    """Validate an (M, M) row-stochastic matrix."""
-    arr = _as_float_array(pi, name)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidInputError(f"{name} must be square, got shape {arr.shape}")
-    if np.any(arr < 0.0):
-        raise InvalidInputError(f"{name} has negative entries")
-    if np.max(np.abs(arr.sum(axis=1) - 1.0)) > DIST_TOL:
-        raise InvalidInputError(f"{name} has rows that do not sum to 1")
-    return arr
-
-
-def check_policy_seq(pi, name: str = "policy sequence") -> np.ndarray:
-    """Validate an (N, M, M) stack of row-stochastic matrices."""
-    arr = _as_float_array(pi, name)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise InvalidInputError(f"{name} must have shape (days, M, M)")
-    if np.any(arr < 0.0):
-        raise InvalidInputError(f"{name} has negative entries")
-    if np.max(np.abs(arr.sum(axis=2) - 1.0)) > DIST_TOL:
+    if not (np.abs(arr.sum(axis=-1) - 1.0) <= DIST_TOL).all():
         raise InvalidInputError(f"{name} has rows that do not sum to 1")
     return arr
 
@@ -188,28 +152,14 @@ class CostModel:
 
 
 def dist_distance(a, b) -> float:
-    """Sup distance max_s |a(s) - b(s)| between two distributions."""
+    """Sup distance max |a - b| over all entries of two arrays of equal shape.
+
+    The one metric of the game: between two distributions, two mean field
+    sequences or two policy sequences alike.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise InvalidInputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
-
-
-def seq_distance(a, b) -> float:
-    """Sup-over-days distance between two mean field sequences."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2:
-        raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b)))
-
-
-def policy_distance(a, b) -> float:
-    """Sup-over-days-and-rows distance between two policy sequences."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 3:
+    if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
 
@@ -242,9 +192,7 @@ def bellman_apply(v_next, mu, cm: CostModel):
         raise InvalidInputError(f"value vector must have shape ({cm.M},)")
     if not np.all(np.isfinite(v_next)):
         raise InvalidInputError("value vector contains non-finite entries")
-    mu = check_distribution(mu, "mean field")
-    if mu.shape != (cm.M,):
-        raise InvalidInputError("mean field dimension does not match model")
+    mu = check_stochastic(mu, "mean field", (cm.M,))
     return _bellman_core(cm.cost(mu), cm.inertia_matrix, v_next, cm.theta)
 
 
@@ -263,9 +211,7 @@ def backward_induction(mu, cm: CostModel):
     Sweeps the Bellman backup from the zero terminal value down to day 0.
     Returns ``(values, policies)`` with shapes (N+1, M) and (N, M, M).
     """
-    mu = check_mean_field_seq(mu)
-    if mu.shape[1] != cm.M:
-        raise InvalidInputError("mean field dimension does not match model")
+    mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
     return _backward_induction_core(cm.cost(mu), cm.inertia_matrix, cm.theta)
 
 
@@ -290,10 +236,8 @@ def forward_step(pi, mu) -> np.ndarray:
     out(s) = sum_{s'} mu(s') pi(s|s'), renormalized to absorb rounding
     drift (raises if the correction would exceed RENORM_TOL).
     """
-    pi = check_policy(pi)
-    mu = check_distribution(mu)
-    if pi.shape[0] != mu.shape[0]:
-        raise InvalidInputError("policy and distribution dimensions differ")
+    mu = check_stochastic(mu, "distribution", (None,))
+    pi = check_stochastic(pi, "policy", (mu.size, mu.size))
     return _forward_step_core(pi, mu)
 
 
@@ -312,10 +256,8 @@ def forward_propagate(pi, mu0) -> np.ndarray:
     Day 0 is ``mu0`` itself; the day-(N-1) action selects a state outside
     the horizon, so it affects cost but not the returned sequence.
     """
-    pi = check_policy_seq(pi)
-    mu0 = check_distribution(mu0, "initial distribution")
-    if mu0.shape[0] != pi.shape[1]:
-        raise InvalidInputError("initial distribution dimension mismatch")
+    mu0 = check_stochastic(mu0, "initial distribution", (None,))
+    pi = check_stochastic(pi, "policy sequence", (None, mu0.size, mu0.size))
     return _forward_propagate_core(pi, mu0)
 
 
@@ -343,20 +285,15 @@ def policy_evaluate(pi, mu, cm: CostModel) -> np.ndarray:
     + (1/theta) ln pi_n(x|s) + V_{n+1}(x)); zero-probability actions
     contribute nothing (p ln p -> 0).
     """
-    pi = check_policy_seq(pi)
-    mu = check_mean_field_seq(mu)
-    n_days, m = mu.shape
-    if pi.shape != (n_days, m, m) or m != cm.M:
-        raise InvalidInputError("policy/mean-field/model shapes do not match")
+    mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
+    pi = check_stochastic(pi, "policy sequence", (len(mu), cm.M, cm.M))
     return _policy_evaluate_core(pi, cm.cost(mu), cm.inertia_matrix, cm.theta)
 
 
 def total_cost(pi, mu, cm: CostModel, mu0) -> float:
     """Expected horizon cost sum_s mu0(s) V_0(s) of policy ``pi`` against ``mu``."""
-    mu0 = check_distribution(mu0, "initial distribution")
+    mu0 = check_stochastic(mu0, "initial distribution", (cm.M,))
     values = policy_evaluate(pi, mu, cm)
-    if mu0.shape[0] != values.shape[1]:
-        raise InvalidInputError("initial distribution dimension mismatch")
     return float(np.sum(mu0 * values[0]))
 
 
@@ -376,8 +313,9 @@ def concavity_check(v, v_alt, mu, cm: CostModel, slack: float = 1e-9) -> bool:
     g_alt, _ = bellman_apply(v_alt, mu, cm)
     v = np.asarray(v, dtype=float)
     v_alt = np.asarray(v_alt, dtype=float)
+    mu = np.asarray(mu, dtype=float)  # validated by bellman_apply
     diff = v_alt - v
     per_state = g_alt <= g_v + (pi * diff[None, :]).sum(axis=1) + slack
-    pushed = _forward_step_core(pi, check_distribution(mu))
+    pushed = _forward_step_core(pi, mu)
     aggregate = float(np.sum(mu * (g_alt - g_v))) <= float(np.sum(diff * pushed)) + slack
     return bool(np.all(per_state)) and aggregate

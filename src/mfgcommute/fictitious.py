@@ -26,11 +26,9 @@ from .core import (
     _backward_induction_core,
     _forward_propagate_core,
     _policy_evaluate_core,
-    check_distribution,
-    check_mean_field_seq,
-    check_policy_seq,
+    check_stochastic,
+    dist_distance,
     forward_propagate,
-    seq_distance,
     uniform_policy_seq,
 )
 
@@ -60,7 +58,7 @@ class FPConfig:
     initial_policy: np.ndarray | None = None
 
     def __post_init__(self):
-        self.mu0 = check_distribution(self.mu0, "initial distribution")
+        self.mu0 = check_stochastic(self.mu0, "initial distribution", (None,))
         if self.horizon < 1:
             raise InvalidInputError("horizon must be at least 1")
         if self.max_iters < 1:
@@ -68,13 +66,10 @@ class FPConfig:
         if not self.exploitability_tol > 0.0:
             raise InvalidInputError("exploitability_tol must be positive")
         if self.initial_policy is not None:
-            pol = check_policy_seq(self.initial_policy, "initial policy")
-            m = self.mu0.shape[0]
-            if pol.shape != (self.horizon, m, m):
-                raise InvalidInputError(
-                    f"initial policy must have shape ({self.horizon}, {m}, {m})"
-                )
-            self.initial_policy = pol
+            m = self.mu0.size
+            self.initial_policy = check_stochastic(
+                self.initial_policy, "initial policy", (self.horizon, m, m)
+            )
 
 
 @dataclass
@@ -156,12 +151,10 @@ def exploitability(pi, mu, cm: CostModel, mu0) -> float:
     ``mu0``); the best-response side is computed exactly by backward
     induction, so the gap is non-negative up to rounding.
     """
-    pi = check_policy_seq(pi)
-    mu = check_mean_field_seq(mu)
-    mu0 = check_distribution(mu0, "initial distribution")
-    if mu.shape[1] != cm.M:
-        raise InvalidInputError("mean field dimension does not match model")
-    if seq_distance(forward_propagate(pi, mu0), mu) > 1e-8:
+    mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
+    pi = check_stochastic(pi, "policy sequence", (len(mu), cm.M, cm.M))
+    mu0 = check_stochastic(mu0, "initial distribution", (cm.M,))
+    if dist_distance(forward_propagate(pi, mu0), mu) > 1e-8:
         raise InvalidInputError("mean field is not the flow induced by the policy")
     f_table = cm.cost(mu)
     br_values, _ = _backward_induction_core(f_table, cm.inertia_matrix, cm.theta)

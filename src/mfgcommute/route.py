@@ -171,13 +171,13 @@ def route_cost_model(
 
 def load_network(path) -> RoadNetwork:
     """Read a network file: {"links": [{c, b, t0}, ...], "paths": [[...]], "demand": x}."""
-    raw = json.loads(Path(path).read_text())
     try:
+        raw = json.loads(Path(path).read_text())
         links = tuple(
             Link(capacity=l["c"], coef=l["b"], free_flow=l["t0"]) for l in raw["links"]
         )
         paths = tuple(tuple(int(i) for i in p) for p in raw["paths"])
         demand = float(raw["demand"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"malformed network file {path}: {exc}") from exc
     return RoadNetwork(links=links, paths=paths, demand=demand)

@@ -31,8 +31,7 @@ from .core import (
     SolverFailure,
     _bellman_core,
     bellman_apply,
-    check_distribution,
-    check_mean_field_seq,
+    check_stochastic,
     dist_distance,
     forward_step,
     uniform_distribution,
@@ -169,9 +168,7 @@ def solve_smfe(
     if init is None:
         mu = uniform_distribution(cm.M)
     else:
-        mu = check_distribution(init, "initial distribution")
-        if mu.shape[0] != cm.M:
-            raise InvalidInputError("initial distribution dimension mismatch")
+        mu = check_stochastic(init, "initial distribution", (cm.M,))
     v = np.zeros(cm.M)
     lam = 0.0
     r1 = r2 = math.inf
@@ -243,7 +240,7 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
             f"({sol.message})",
             residual=residual,
         )
-    return check_distribution(mu, "SUE distribution")
+    return check_stochastic(mu, "SUE distribution", (cm.M,))
 
 
 def smfe_residuals(p: StationaryPair, cm: CostModel):
@@ -287,15 +284,10 @@ def value_gap_check(p: StationaryPair, cm: CostModel, slack: float = 1e-9) -> bo
     """
     eps = _indicator_epsilon(cm)
     f = cm.cost(p.mu_bar)
-    ok = True
-    for x in range(cm.M):
-        for y in range(cm.M):
-            v_gap = float(p.V_bar[x] - p.V_bar[y])
-            if v_gap <= 1e-10:
-                continue
-            f_gap = float(f[x] - f[y])
-            ok = ok and (v_gap > f_gap - slack) and (f_gap > v_gap - eps - slack)
-    return ok
+    v_gap = p.V_bar[:, None] - p.V_bar[None, :]  # [x, y] = V(x) - V(y)
+    f_gap = f[:, None] - f[None, :]
+    bracketed = (v_gap > f_gap - slack) & (f_gap > v_gap - eps - slack)
+    return bool(((v_gap <= 1e-10) | bracketed).all())
 
 
 def omega_bound(cm: CostModel) -> float:
@@ -309,7 +301,8 @@ def omega_bound_check(mfe_mu, cm: CostModel) -> bool:
     Day 0 is exempt: the initial distribution may contain zeros.  Where the
     bound underflows, strict positivity of the softmax policies carries it.
     """
-    return bool(np.all(check_mean_field_seq(mfe_mu)[1:] >= omega_bound(cm)))
+    mfe_mu = check_stochastic(mfe_mu, "mean field sequence", (None, cm.M))
+    return bool(np.all(mfe_mu[1:] >= omega_bound(cm)))
 
 
 def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
@@ -318,7 +311,7 @@ def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
     A flat profile (max - min below tolerance) certifies the logit
     equilibrium condition for the given cost vector.
     """
-    mu = check_distribution(mu)
+    mu = check_stochastic(mu, "distribution", (None,))
     v_or_f = np.asarray(v_or_f, dtype=float)
     if v_or_f.shape != mu.shape:
         raise InvalidInputError("cost vector and distribution shapes differ")

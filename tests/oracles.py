@@ -42,6 +42,19 @@ def brute_policy_distance(a, b):
     return best
 
 
+def brute_value_gap_check(v, f, eps, slack):
+    """Pairwise loop: V(x)-V(y) > f(x)-f(y) > V(x)-V(y) - eps whenever V(x) > V(y)."""
+    ok = True
+    for x in range(len(v)):
+        for y in range(len(v)):
+            v_gap = float(v[x] - v[y])
+            if v_gap <= 1e-10:
+                continue
+            f_gap = float(f[x] - f[y])
+            ok = ok and (v_gap > f_gap - slack) and (f_gap > v_gap - eps - slack)
+    return ok
+
+
 def point_queue_delays(mu, c_b, slice_hours):
     """Step-by-step cumulative queue recursion for the bottleneck delay.
 

@@ -25,7 +25,6 @@ import pytest
 
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from mfgcommute.core import (
-    backward_induction,
     bellman_apply,
     dist_distance,
     forward_step,

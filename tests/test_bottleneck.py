@@ -174,3 +174,6 @@ def test_load_spec_malformed(tmp_path):
     bad.write_text('{"M": 40}')
     with pytest.raises(InvalidInputError):
         load_spec(bad)
+    bad.write_text('{"M": 40, "L"')  # truncated JSON
+    with pytest.raises(InvalidInputError):
+        load_spec(bad)

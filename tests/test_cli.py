@@ -74,6 +74,23 @@ def test_config_field_errors(tmp_path, repo_root):
         config_from_dict(cfg, tmp_path)
     assert exc.value.field == "policy_days"
 
+    for field, overrides in [
+        ("theta", {"theta": float("inf")}),
+        ("epsilon", {"epsilon": float("inf")}),
+        ("epsilon", {"epsilon": float("nan")}),
+        ("solver.max_iters", {"solver": {"max_iters": 0}}),
+        ("solver.exploitability_tol", {"solver": {"exploitability_tol": 0.0}}),
+    ]:
+        cfg = route_config(repo_root, tmp_path / "out", **overrides)
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(cfg, tmp_path)
+        assert exc.value.field == field
+
+    # validate and run agree: a config that run would reject fails validate.
+    cfg = route_config(repo_root, tmp_path / "out", solver={"max_iters": 0})
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+
 
 def test_run_experiment_artifacts(tmp_path, repo_root):
     out = tmp_path / "out"
@@ -173,6 +190,8 @@ def test_policy_days_override(tmp_path, repo_root):
     assert (out / "policy_day_1.csv").exists()
     assert (out / "policy_day_3.csv").exists()
     assert not (out / "policy_day_0.csv").exists()
+    for bad in ("1,99", "1,x"):
+        assert main(["run", "--config", str(path), "--policy-days", bad]) == 1
 
 
 def test_validate_command(tmp_path, repo_root, capsys):
@@ -189,6 +208,13 @@ def test_validate_command(tmp_path, repo_root, capsys):
 def test_validate_rejects_missing_scenario_file(tmp_path, repo_root, capsys):
     cfg = route_config(repo_root, tmp_path / "out",
                        scenario_file=str(tmp_path / "missing.json"))
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "scenario_file" in capsys.readouterr().out
+
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text((repo_root / "scenarios" / "grid9.json").read_text()[:40])
+    cfg = route_config(repo_root, tmp_path / "out", scenario_file=str(truncated))
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 1
     assert "scenario_file" in capsys.readouterr().out

@@ -12,15 +12,12 @@ from mfgcommute.core import (
     _forward_step_core,
     backward_induction,
     bellman_apply,
-    check_distribution,
-    check_policy,
+    check_stochastic,
     concavity_check,
     dist_distance,
     forward_propagate,
     forward_step,
-    policy_distance,
     policy_evaluate,
-    seq_distance,
     total_cost,
     uniform_distribution,
     uniform_policy_seq,
@@ -79,20 +76,20 @@ def test_seq_distance_single_day_difference():
     a = np.stack([random_distribution(rng, 4) for _ in range(6)])
     b = a.copy()
     b[3] = a[3] + np.array([0.05, -0.05, 0.1, -0.1])
-    assert seq_distance(a, b) == pytest.approx(0.1, abs=1e-15)
-    assert seq_distance(a, a) == 0.0
+    assert dist_distance(a, b) == pytest.approx(0.1, abs=1e-15)
+    assert dist_distance(a, a) == 0.0
 
 
 def test_seq_and_policy_distance_match_brute_force():
     rng = np.random.default_rng(1)
     a = np.stack([random_distribution(rng, 5) for _ in range(7)])
     b = np.stack([random_distribution(rng, 5) for _ in range(7)])
-    assert seq_distance(a, b) == brute_seq_distance(a, b)
+    assert dist_distance(a, b) == brute_seq_distance(a, b)
     pa = np.stack([random_policy(rng, 5) for _ in range(7)])
     pb = np.stack([random_policy(rng, 5) for _ in range(7)])
-    assert policy_distance(pa, pb) == brute_policy_distance(pa, pb)
+    assert dist_distance(pa, pb) == brute_policy_distance(pa, pb)
     with pytest.raises(InvalidInputError):
-        seq_distance(a, b[:4])
+        dist_distance(a, b[:4])
 
 
 # ---------------------------------------------------------------------------
@@ -100,19 +97,26 @@ def test_seq_and_policy_distance_match_brute_force():
 
 
 def test_check_distribution_rejects_negative_and_unnormalized():
+    for bad in ([0.5, -0.5, 1.0], [0.5, 0.4], [[0.5, 0.5]], [0.5, np.nan, 0.5],
+                [np.inf, 0.0], []):
+        with pytest.raises(InvalidInputError):
+            check_stochastic(bad, "distribution", (None,))
     with pytest.raises(InvalidInputError):
-        check_distribution([0.5, -0.5, 1.0])
-    with pytest.raises(InvalidInputError):
-        check_distribution([0.5, 0.4])
-    with pytest.raises(InvalidInputError):
-        check_distribution([[0.5, 0.5]])
+        check_stochastic([0.5, 0.5], "distribution", (3,))
+    assert np.array_equal(check_stochastic([0.25, 0.75], "distribution", (None,)),
+                          [0.25, 0.75])
 
 
 def test_check_policy_rejects_bad_rows():
     with pytest.raises(InvalidInputError):
-        check_policy([[0.5, 0.6], [0.5, 0.5]])
+        check_stochastic([[0.5, 0.6], [0.5, 0.5]], "policy", (2, 2))
     with pytest.raises(InvalidInputError):
-        check_policy([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        check_stochastic([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]], "policy", (2, 2))
+    seq = np.full((3, 2, 2), 0.5)
+    assert np.array_equal(check_stochastic(seq, "policy sequence", (None, 2, 2)), seq)
+    seq[2, 1] = [0.5, 0.6]
+    with pytest.raises(InvalidInputError):
+        check_stochastic(seq, "policy sequence", (None, 2, 2))
 
 
 def test_cost_model_validation():
@@ -183,6 +187,8 @@ def test_bellman_rejects_bad_inputs():
         bellman_apply(np.array([np.nan, 0.0]), uniform_distribution(2), cm)
     with pytest.raises(InvalidInputError):
         bellman_apply(np.zeros(3), uniform_distribution(2), cm)
+    with pytest.raises(InvalidInputError):
+        bellman_apply(np.zeros(2), uniform_distribution(3), cm)
 
 
 def test_bellman_policy_strictly_positive():
@@ -260,6 +266,8 @@ def test_forward_step_matches_brute_force_exactly():
 def test_forward_step_shape_errors_and_drift_guard():
     with pytest.raises(InvalidInputError):
         forward_step(np.eye(3), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidInputError):
+        forward_step(np.full((2, 3), 1.0 / 3.0), np.array([0.5, 0.5]))
     bad = np.array([[0.7, 0.2], [0.5, 0.5]])  # first row leaks mass
     with pytest.raises(NumericError):
         _forward_step_core(bad, np.array([0.5, 0.5]))
@@ -274,6 +282,24 @@ def test_forward_propagate_identity_and_single_step():
     pols = np.tile(np.array([[0.3, 0.7], [0.4, 0.6]]), (2, 1, 1))
     out = forward_propagate(pols, mu0)
     assert np.allclose(out[1], [0.3, 0.7], atol=1e-15)
+
+
+def test_operators_reject_shapes_that_do_not_match_the_model():
+    cm = make_table_cost_model([0.5, 1.0], np.zeros((2, 2)), theta=1.0)
+    three_states = np.full((4, 3), 1.0 / 3.0)
+    with pytest.raises(InvalidInputError):
+        backward_induction(three_states, cm)
+    mu = np.full((4, 2), 0.5)
+    with pytest.raises(InvalidInputError):
+        policy_evaluate(uniform_policy_seq(4, 3), mu, cm)
+    with pytest.raises(InvalidInputError):
+        policy_evaluate(uniform_policy_seq(5, 2), mu, cm)
+    with pytest.raises(InvalidInputError):
+        total_cost(uniform_policy_seq(4, 2), mu, cm, uniform_distribution(3))
+    with pytest.raises(InvalidInputError):
+        forward_propagate(np.full((4, 2, 3), 1.0 / 3.0), uniform_distribution(2))
+    with pytest.raises(InvalidInputError):
+        forward_propagate(uniform_policy_seq(4, 3), uniform_distribution(2))
 
 
 def test_forward_propagate_mass_conservation():

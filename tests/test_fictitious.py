@@ -7,7 +7,6 @@ from mfgcommute.core import (
     InvalidInputError,
     dist_distance,
     forward_propagate,
-    seq_distance,
     uniform_distribution,
     uniform_policy_seq,
 )
@@ -108,6 +107,20 @@ def test_exploitability_inconsistent_pair_rejected():
         exploitability(pi, bad_mu, cm, uniform_distribution(2))
 
 
+def test_exploitability_rejects_shapes_that_do_not_match_the_model():
+    cm = make_table_cost_model([0.5, 1.0], np.zeros((2, 2)), theta=1.0)
+    pi = uniform_policy_seq(3, 3)
+    mu = forward_propagate(pi, uniform_distribution(3))
+    with pytest.raises(InvalidInputError):
+        exploitability(pi, mu, cm, uniform_distribution(3))
+    pi = uniform_policy_seq(3, 2)
+    mu = forward_propagate(pi, uniform_distribution(2))
+    with pytest.raises(InvalidInputError):
+        exploitability(pi[:2], mu, cm, uniform_distribution(2))
+    with pytest.raises(InvalidInputError):
+        exploitability(pi, mu, cm, uniform_distribution(3))
+
+
 def test_exploitability_uniform_route_regression(route_cm_e1t1, grid9_mu0):
     pol = uniform_policy_seq(30, 6)
     mu = forward_propagate(pol, grid9_mu0)
@@ -126,6 +139,9 @@ def test_fp_config_validation():
     with pytest.raises(InvalidInputError):
         FPConfig(mu0=uniform_distribution(3), horizon=2,
                  initial_policy=uniform_policy_seq(3, 3))
+    with pytest.raises(InvalidInputError):
+        FPConfig(mu0=uniform_distribution(3), horizon=2,
+                 initial_policy=uniform_policy_seq(2, 2))
 
 
 def test_one_shot_convergence_without_congestion():
@@ -150,7 +166,7 @@ def test_fictitious_play_report_invariants(route_cm_e1t1, grid9_mu0):
     assert report.iterations_run == 40
     assert len(report.exploitability_trace) == 40
     assert min(report.exploitability_trace) >= -1e-9
-    assert seq_distance(forward_propagate(report.avg_policy, grid9_mu0),
+    assert dist_distance(forward_propagate(report.avg_policy, grid9_mu0),
                         report.avg_mf) <= 1e-10
     assert np.max(np.abs(report.avg_policy.sum(axis=2) - 1.0)) < 1e-12
     assert np.max(np.abs(report.avg_mf.sum(axis=1) - 1.0)) < 1e-12

@@ -183,6 +183,9 @@ def test_load_network_malformed(tmp_path):
     bad.write_text('{"links": [{"c": 1}], "paths": [[0]], "demand": 5}')
     with pytest.raises(InvalidInputError):
         load_network(bad)
+    bad.write_text('{"links": [{"c": 1')  # truncated JSON
+    with pytest.raises(InvalidInputError):
+        load_network(bad)
 
 
 def test_link_flow_evolution_unique_across_initial_policies(grid9, grid9_mu0, route_cm_e1t1):

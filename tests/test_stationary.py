@@ -20,7 +20,6 @@ from mfgcommute.core import (
     dist_distance,
     forward_propagate,
     forward_step,
-    seq_distance,
     uniform_distribution,
 )
 from mfgcommute.fictitious import FPConfig, exploitability, fictitious_play
@@ -36,6 +35,8 @@ from mfgcommute.stationary import (
     solve_smfe,
     value_gap_check,
 )
+from conftest import make_table_cost_model
+from oracles import brute_value_gap_check
 
 # Frozen diagnostics: residual after shifting 0.05 of mass between the first
 # two states of the converged epsilon=theta=1 stationary distribution, and
@@ -106,7 +107,7 @@ def exact_e1t1(route_cm_e1t1, grid9_mu0, fp_e1t1):
     sol = _hybr(residual, z0.ravel())
     mu = mean_field(sol.x.reshape(z0.shape))
     flow, pi = phi(mu)
-    gap = seq_distance(flow, mu)
+    gap = dist_distance(flow, mu)
     if not gap <= EXACT_TOL:
         raise RuntimeError(f"exact solve failed ({sol.message}): residual {gap:.2e}")
     expl = exploitability(pi, mu, cm, mu0)
@@ -255,6 +256,24 @@ def test_value_gap_two_state_regression():
     assert value_gap_check(pair, cm)
 
 
+def test_value_gap_check_matches_the_pairwise_loop():
+    # Random value and cost vectors around the bracket's edges, ties included.
+    rng = np.random.default_rng(12)
+    outcomes = set()
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        eps = float(rng.choice([0.0, 0.3, 1.0]))
+        f = rng.random(m)
+        v = np.round(f + rng.random(m) * eps * rng.choice([0.5, 1.0, 2.0]), 1)
+        cm = make_table_cost_model(f, eps * (1.0 - np.eye(m)), theta=1.0)
+        pair = StationaryPair(V_bar=v, mu_bar=uniform_distribution(m),
+                              lambda_bar=0.0, pi_bar=np.full((m, m), 1.0 / m))
+        ok = value_gap_check(pair, cm)
+        assert ok == brute_value_gap_check(v, f, eps, 1e-9)
+        outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
 def test_value_gap_rejects_non_indicator_inertia(grid9):
     cm = route_cost_model(grid9, 1.0, RouteInertiaSpec("overlap", 1.0))
     pair = StationaryPair(V_bar=np.zeros(6), mu_bar=uniform_distribution(6),
@@ -350,6 +369,11 @@ def test_solver_failure_carries_residuals():
         solve_smfe(cm, tol=1e-16, max_outer=40, fallback=False)
     assert exc.value.payload is not None
     assert "r2" in exc.value.payload
+
+
+def test_solve_smfe_rejects_an_init_of_the_wrong_length():
+    with pytest.raises(InvalidInputError):
+        solve_smfe(two_state_model(), init=uniform_distribution(3))
 
 
 def test_relative_values_solve_the_average_cost_equation(
