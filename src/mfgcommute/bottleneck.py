@@ -157,5 +157,5 @@ def load_spec(path) -> BottleneckSpec:
             epsilon=float(raw["epsilon"]),
             slice_mapping=str(raw.get("slice_mapping", "left")),
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed scenario file {path}: {exc}") from exc

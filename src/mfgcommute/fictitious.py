@@ -11,6 +11,17 @@ Averaging flows and policies over the same set of iterates keeps the pair
 consistent: the average policy induces exactly the average flow.  Progress
 is measured by exploitability, the cost a single commuter could save by
 best-responding to the averaged flow; it vanishes at an equilibrium.
+
+Consistency also prices the average policy without a backward sweep.  With
+k iterates folded into the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
+pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s), its cost from mu0 is
+
+    sum avg_mf * f + sum num * d / k
+        + (sum num ln num - sum den ln den) / (theta k).
+
+The average policy is formed only at a stop candidate (that gap at or below
+tolerance, or the budget spent), where the backward sweep ``exploitability``
+runs certifies the gap; a candidate that fails is recorded and play goes on.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import xlogy
 
 from .core import (
     CostModel,
@@ -180,7 +192,6 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
 
     num = np.zeros((cfg.horizon, m, m))
     den = np.zeros((cfg.horizon, m))
-    avg_pol = None
     trace: list[float] = []
 
     # Pass j best-responds to the average through iteration j - 1; its value
@@ -190,17 +201,25 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     for j in range(1, cfg.max_iters + 2):
         f_table = cm.cost(avg_mf)
         br_values, br_policy = _backward_induction_core(f_table, d, cm.theta)
-        if avg_pol is not None:
-            gap = _gap(avg_pol, f_table, br_values, cm, cfg.mu0)
+        if j > 1:
+            k = j - 1
+            held = (
+                np.sum(avg_mf * f_table)
+                + np.sum(num * d) / k
+                + (np.sum(xlogy(num, num)) - np.sum(xlogy(den, den))) / (cm.theta * k)
+            )
+            gap = float(held) - float(np.sum(cfg.mu0 * br_values[0]))
+            if gap <= cfg.exploitability_tol or j > cfg.max_iters:
+                avg_pol = _weighted_policy_average(num, den, m)
+                gap = _gap(avg_pol, f_table, br_values, cm, cfg.mu0)
             trace.append(gap)
-            logger.debug("iteration %d exploitability %.3e", j - 1, gap)
+            logger.debug("iteration %d exploitability %.3e", k, gap)
             converged = gap <= cfg.exploitability_tol
             if converged or j > cfg.max_iters:
                 break
         induced = _forward_propagate_core(br_policy, cfg.mu0)
         avg_mf = fp_average_mf(avg_mf, induced, j)
         _accumulate(num, den, induced, br_policy)
-        avg_pol = _weighted_policy_average(num, den, m)
 
     logger.info(
         "fictitious play finished after %d iterations (converged=%s)",

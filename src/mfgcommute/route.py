@@ -174,10 +174,10 @@ def load_network(path) -> RoadNetwork:
     try:
         raw = json.loads(Path(path).read_text())
         links = tuple(
-            Link(capacity=l["c"], coef=l["b"], free_flow=l["t0"]) for l in raw["links"]
+            Link(capacity=float(l["c"]), coef=float(l["b"]), free_flow=float(l["t0"]))
+            for l in raw["links"]
         )
         paths = tuple(tuple(int(i) for i in p) for p in raw["paths"])
-        demand = float(raw["demand"])
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        return RoadNetwork(links=links, paths=paths, demand=float(raw["demand"]))
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed network file {path}: {exc}") from exc
-    return RoadNetwork(links=links, paths=paths, demand=demand)

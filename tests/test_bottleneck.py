@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -176,4 +178,13 @@ def test_load_spec_malformed(tmp_path):
         load_spec(bad)
     bad.write_text('{"M": 40, "L"')  # truncated JSON
     with pytest.raises(InvalidInputError):
+        load_spec(bad)
+
+
+def test_load_spec_non_numeric_field_names_the_file(tmp_path, repo_root):
+    raw = json.loads((repo_root / "scenarios" / "bottleneck_guo2018.json").read_text())
+    raw["L"] = "abc"
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(InvalidInputError, match="spec.json"):
         load_spec(bad)

@@ -220,6 +220,17 @@ def test_validate_rejects_missing_scenario_file(tmp_path, repo_root, capsys):
     assert "scenario_file" in capsys.readouterr().out
 
 
+def test_validate_rejects_non_numeric_scenario_field(tmp_path, repo_root, capsys):
+    net = json.loads((repo_root / "scenarios" / "grid9.json").read_text())
+    net["links"][0]["c"] = "abc"
+    scenario = tmp_path / "net.json"
+    scenario.write_text(json.dumps(net))
+    cfg = route_config(repo_root, tmp_path / "out", scenario_file=str(scenario))
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "scenario_file" in capsys.readouterr().out
+
+
 def test_bottleneck_run(tmp_path, repo_root):
     out = tmp_path / "out"
     cfg = config_from_dict(

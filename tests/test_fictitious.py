@@ -10,6 +10,7 @@ from mfgcommute.core import (
     uniform_distribution,
     uniform_policy_seq,
 )
+from mfgcommute import fictitious
 from mfgcommute.fictitious import (
     FPConfig,
     exploitability,
@@ -205,3 +206,74 @@ def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
     )
     assert np.array_equal(report.avg_policy, rescan)
     assert np.array_equal(report.avg_mf, avg_mf)
+
+
+@pytest.mark.parametrize("case", ["route_e1t1", "table_with_empty_rows"])
+def test_trace_matches_exploitability_of_each_prefix(case, route_cm_e1t1, grid9_mu0):
+    # Intermediate trace entries come from the occupancy form, the last one
+    # from the backward-sweep certificate; both must price the same pair.
+    if case == "route_e1t1":
+        cm, mu0 = route_cm_e1t1, grid9_mu0
+    else:
+        # Linear congestion keeps FP from converging in a few iterations; the
+        # zero entry of mu0 leaves day-0 occupancy rows empty.
+        coupling = np.array([[2.0, 0.5, 0.0, 0.3],
+                             [0.5, 1.5, 0.4, 0.0],
+                             [0.0, 0.4, 2.5, 0.6],
+                             [0.3, 0.0, 0.6, 1.0]])
+        cm = make_table_cost_model([0.5, 1.0, 0.2, 0.9],
+                                   np.full((4, 4), 0.4) - 0.4 * np.eye(4), theta=2.0,
+                                   coupling=coupling)
+        mu0 = np.array([0.5, 0.0, 0.3, 0.2])
+    n = 30
+    trace = fictitious_play(
+        cm, FPConfig(mu0=mu0, horizon=n, max_iters=12, exploitability_tol=1e-12)
+    ).exploitability_trace
+    assert len(trace) == 12
+    for k in range(1, 13):
+        report = fictitious_play(
+            cm, FPConfig(mu0=mu0, horizon=n, max_iters=k, exploitability_tol=1e-12)
+        )
+        certified = exploitability(report.avg_policy, report.avg_mf, cm, mu0)
+        assert report.exploitability_trace[-1] == certified
+        assert trace[k - 1] == pytest.approx(certified, rel=1e-9)
+    if case == "table_with_empty_rows":
+        assert report.avg_mf[0, 1] == 0.0
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(fictitious, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(fictitious, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["unconverged", "one_shot"])
+def test_average_policy_is_formed_and_swept_once_per_run(
+    case, monkeypatch, route_cm_e1t1, grid9_mu0
+):
+    evaluations = _count_calls(monkeypatch, "_policy_evaluate_core")
+    averages = _count_calls(monkeypatch, "_weighted_policy_average")
+    if case == "unconverged":
+        report = fictitious_play(
+            route_cm_e1t1,
+            FPConfig(mu0=grid9_mu0, horizon=30, max_iters=20, exploitability_tol=1e-9),
+        )
+        assert not report.converged and report.iterations_run == 20
+    else:
+        # The model of test_one_shot_convergence_without_congestion: it must
+        # converge through the certificate too.
+        cm = make_table_cost_model([0.5, 1.0, 0.2, 0.9],
+                                   np.full((4, 4), 0.4) - 0.4 * np.eye(4), theta=2.0)
+        report = fictitious_play(
+            cm,
+            FPConfig(mu0=uniform_distribution(4), horizon=6, exploitability_tol=1e-9),
+        )
+        assert report.converged and report.iterations_run == 1
+    assert len(evaluations) == 1
+    assert len(averages) == 1

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 
+import json
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,15 @@ def test_load_network_malformed(tmp_path):
         load_network(bad)
     bad.write_text('{"links": [{"c": 1')  # truncated JSON
     with pytest.raises(InvalidInputError):
+        load_network(bad)
+
+
+def test_load_network_non_numeric_field_names_the_file(tmp_path, repo_root):
+    raw = json.loads((repo_root / "scenarios" / "grid9.json").read_text())
+    raw["links"][0]["c"] = "abc"
+    bad = tmp_path / "net.json"
+    bad.write_text(json.dumps(raw))
+    with pytest.raises(InvalidInputError, match="net.json"):
         load_network(bad)
 
 
