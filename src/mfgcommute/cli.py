@@ -2,9 +2,10 @@
 
 Reads a JSON experiment config, runs the fictitious play solve for the
 configured scenario, and writes machine-readable traces: CSV matrices for
-day-by-day artifacts, JSON for scalar diagnostics.  Floats are serialized
-with 17 significant digits so every artifact round-trips exactly and reruns
-are diffable.  Exit codes: 0 success, 1 config error, 2 solver failure.
+day-by-day artifacts, JSON for scalar diagnostics.  CSV floats carry 17
+significant digits and JSON floats the shortest repr that reads back exactly,
+so every artifact round-trips exactly and reruns are byte-identical.  Exit
+codes: 0 success, 1 config error, 2 solver failure.
 
 The only environment knob is MFG_LOG (off|info|debug) for log verbosity.
 """
@@ -102,9 +103,13 @@ def _require(raw: dict, name: str):
 
 def _as_number(value, name, kind=float):
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+        # int() truncates a float; only an integral one names an int.
+        if kind is int and not isinstance(value, str) and number != value:
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(name, f"expected {kind.__name__}, got {value!r}") from None
+    return number
 
 
 def _policy_days(days, horizon: int) -> list[int]:
@@ -208,54 +213,21 @@ def _resolve_mu0(cfg: ExperimentConfig, m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# deterministic serialization (floats at 17 significant digits)
+# serialization
 
 
-def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return f"{x:.17g}"
-
-
-def _json_value(value, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{_json_value(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_json_value(v, indent + 1)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+def _numpy_to_python(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 def dump_json(obj, path: Path) -> None:
-    path.write_text(_json_value(obj, 0) + "\n")
+    path.write_text(json.dumps(obj, indent=2, allow_nan=False, default=_numpy_to_python) + "\n")
 
 
 def write_csv(matrix, path: Path) -> None:
-    arr = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(_fmt_float(v) for v in row) for row in arr]
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(path, matrix, fmt="%.17g", delimiter=",")
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +291,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     days = cfg.policy_days if cfg.policy_days else [0, cfg.horizon - 1]
     for n in sorted(set(days)):
         write_csv(report.avg_policy[n], out / f"policy_day_{n}.csv")
-    write_csv(
-        np.asarray(report.exploitability_trace, dtype=float).reshape(-1, 1),
-        out / "exploitability.csv",
-    )
+    write_csv(report.exploitability_trace, out / "exploitability.csv")
 
     # A bounded diagnostic: it never raises and it never re-seeds.
     smfe, _ = _solve_stationary(cm, max_outer=5_000, fallback=False)
@@ -342,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         },
     }
     if cfg.scenario == "route":
-        diagnostics["link_flow_trace"] = link_flows(report.avg_mf, scen).tolist()
+        diagnostics["link_flow_trace"] = link_flows(report.avg_mf, scen)
     dump_json(diagnostics, out / "diagnostics.json")
 
     runtime = time.perf_counter() - started
@@ -375,7 +344,7 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         )
         dump_json(payload, out / "smfe.json")
         return 2
-    payload["df_per_day"] = np.abs(report.avg_mf - pair.mu_bar).max(axis=1).tolist()
+    payload["df_per_day"] = np.abs(report.avg_mf - pair.mu_bar).max(axis=1)
     if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
         payload["value_gap_check"] = value_gap_check(pair, cm)
     if cfg.scenario == "route" and cfg.epsilon == 0.0:

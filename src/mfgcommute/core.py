@@ -135,8 +135,8 @@ class CostModel:
             raise InvalidInputError("cost model needs at least one state")
         if not (self.theta > 0.0 and math.isfinite(self.theta)):
             raise InvalidInputError("theta must be positive and finite")
-        if self.bound_C < 0.0:
-            raise InvalidInputError("bound_C must be non-negative")
+        if not (self.bound_C >= 0.0 and math.isfinite(self.bound_C)):
+            raise InvalidInputError("bound_C must be non-negative and finite")
         if not np.all(np.isfinite(d)) or np.any(d < 0.0) or np.any(d > self.bound_C):
             raise InvalidInputError("inertia values must lie in [0, bound_C]")
         self.inertia_matrix = d

@@ -14,6 +14,8 @@ from mfgcommute.cli import (
     main,
     run_experiment,
 )
+from mfgcommute.core import SolverFailure
+from mfgcommute.stationary import solve_smfe
 
 
 def route_config(repo_root, out_dir, **overrides):
@@ -80,6 +82,10 @@ def test_config_field_errors(tmp_path, repo_root):
         ("epsilon", {"epsilon": float("nan")}),
         ("solver.max_iters", {"solver": {"max_iters": 0}}),
         ("solver.exploitability_tol", {"solver": {"exploitability_tol": 0.0}}),
+        # Integer fields are not truncated: 5.7 is not a horizon of 5.
+        ("horizon", {"horizon": 5.7}),
+        ("solver.max_iters", {"solver": {"max_iters": 2.9}}),
+        ("policy_days", {"policy_days": [1.9]}),
     ]:
         cfg = route_config(repo_root, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -166,6 +172,31 @@ def test_float_serialization_round_trips_exactly(tmp_path, repo_root):
     )
     assert np.array_equal(read_csv(out / "mf_trace.csv"), report.avg_mf)
     assert np.array_equal(read_csv(out / "values.csv"), report.value_seq)
+    trace = read_csv(out / "exploitability.csv")[:, 0]
+    assert np.array_equal(trace, report.exploitability_trace)
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["final_exploitability"] == report.exploitability_trace[-1]
+
+    smfe_out = tmp_path / "smfe"
+    assert compare_smfe(cfg, smfe_out) == 0
+    doc = json.loads((smfe_out / "smfe.json").read_text())
+    pair = solve_smfe(cm)
+    assert np.array_equal(doc["mu_bar"], pair.mu_bar)
+    assert np.array_equal(doc["V_bar"], pair.V_bar)
+    assert doc["lambda_bar"] == pair.lambda_bar
+
+
+def test_zero_mu0_entry_writes_null_flatness(tmp_path, repo_root):
+    # The augmented-cost profile needs ln mu, so a day with an empty option
+    # has no flatness; JSON records it as null.
+    out = tmp_path / "out"
+    cfg = config_from_dict(
+        route_config(repo_root, out, mu0=[0.0, 0.2, 0.5, 0.1, 0.1, 0.1]), tmp_path
+    )
+    assert run_experiment(cfg) == 0
+    flatness = json.loads((out / "diagnostics.json").read_text())["augmented_cost_flatness"]
+    assert flatness[0] is None
+    assert all(isinstance(x, float) for x in flatness[1:])
 
 
 def test_config_echo_round_trips(tmp_path, repo_root):
@@ -231,22 +262,50 @@ def test_validate_rejects_non_numeric_scenario_field(tmp_path, repo_root, capsys
     assert "scenario_file" in capsys.readouterr().out
 
 
+def bottleneck_config(repo_root, out_dir, **overrides):
+    cfg = {
+        "scenario": "bottleneck",
+        "scenario_file": str(repo_root / "scenarios" / "bottleneck_guo2018.json"),
+        "horizon": 6,
+        "theta": 20.0,
+        "epsilon": 0.0,
+        "mu0": "uniform",
+        "solver": {"max_iters": 30, "exploitability_tol": 1e-9},
+        "outputs": str(out_dir),
+        "seed": 0,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("scenario, file, field", [
+    ("route", "grid9.json", ("links", 0, "b")),
+    ("bottleneck", "bottleneck_guo2018.json", ("alpha",)),
+])
+def test_validate_rejects_non_finite_scenario_cost(tmp_path, repo_root, capsys,
+                                                   scenario, file, field, bad):
+    # The cost bound is computed from the costs, so a non-finite cost
+    # parameter is caught when the cost model is built, before any solve.
+    data = json.loads((repo_root / "scenarios" / file).read_text())
+    target = data
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = bad
+    scenario_path = tmp_path / file
+    scenario_path.write_text(json.dumps(data))
+    make = route_config if scenario == "route" else bottleneck_config
+    path = write_config(tmp_path, make(repo_root, tmp_path / "out",
+                                       scenario_file=str(scenario_path)))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert "scenario_file" in capsys.readouterr().out
+    assert main(["run", "--config", str(path)]) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_bottleneck_run(tmp_path, repo_root):
     out = tmp_path / "out"
-    cfg = config_from_dict(
-        {
-            "scenario": "bottleneck",
-            "scenario_file": str(repo_root / "scenarios" / "bottleneck_guo2018.json"),
-            "horizon": 6,
-            "theta": 20.0,
-            "epsilon": 0.0,
-            "mu0": "uniform",
-            "solver": {"max_iters": 30, "exploitability_tol": 1e-9},
-            "outputs": str(out),
-            "seed": 0,
-        },
-        tmp_path,
-    )
+    cfg = config_from_dict(bottleneck_config(repo_root, out), tmp_path)
     assert run_experiment(cfg) == 0
     mf = read_csv(out / "mf_trace.csv")
     assert mf.shape == (6, 40)
@@ -256,18 +315,41 @@ def test_bottleneck_run(tmp_path, repo_root):
 
 def test_smfe_command(tmp_path, repo_root):
     out = tmp_path / "out"
-    cfg = config_from_dict(
-        route_config(repo_root, out, epsilon=0.0,
-                     solver={"max_iters": 30, "exploitability_tol": 1e-9}),
-        tmp_path,
-    )
-    assert compare_smfe(cfg, out) == 0
+    path = write_config(tmp_path, route_config(
+        repo_root, out, epsilon=0.0, solver={"max_iters": 30, "exploitability_tol": 1e-9}))
+    assert main(["smfe", "--config", str(path)]) == 0
     doc = json.loads((out / "smfe.json").read_text())
     assert doc["converged"] is True
     assert doc["r1"] <= 1e-8 and doc["r2"] <= 1e-8
     assert doc["df_to_logit_sue"] <= 1e-7
     assert doc["value_gap_check"] is True
     assert len(doc["df_per_day"]) == 8
+
+
+def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypatch):
+    payload = {
+        "V_bar": np.linspace(0.0, 1.0, 6),
+        "mu_bar": np.full(6, 1.0 / 6.0),
+        "lambda_bar": 12.5,
+        "r1": 3e-3,
+        "r2": 0.25,
+    }
+
+    def failing_solve(cm, **budget):
+        raise SolverFailure("stationary solve stopped", residual=0.25, payload=payload)
+
+    monkeypatch.setattr("mfgcommute.cli.solve_smfe", failing_solve)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, route_config(
+        repo_root, out, solver={"max_iters": 5, "exploitability_tol": 1e-9}))
+    assert main(["smfe", "--config", str(path)]) == 2
+    doc = json.loads((out / "smfe.json").read_text())
+    assert sorted(doc) == ["V_bar", "converged", "lambda_bar", "mu_bar", "r1", "r2"]
+    assert doc["converged"] is False
+    for key in ("V_bar", "mu_bar"):
+        assert np.array_equal(doc[key], payload[key])
+    for key in ("lambda_bar", "r1", "r2"):
+        assert doc[key] == payload[key]
 
 
 def test_relative_scenario_path_resolves_against_config(tmp_path, repo_root):

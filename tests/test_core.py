@@ -131,6 +131,11 @@ def test_cost_model_validation():
                 np.array([[0.0, 5.0], [5.0, 0.0]]), np.array([[0.0, np.nan], [0.0, 0.0]])):
         with pytest.raises(InvalidInputError):
             CostModel(cost=zero_cost, inertia_matrix=bad, theta=1.0, bound_C=1.0)
+    # A scenario derives bound_C from its costs, so a NaN or inf cost
+    # parameter surfaces here rather than mid-solve.
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(InvalidInputError, match="bound_C"):
+            CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=bad)
     ok = CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=1.0)
     assert ok.inertia_matrix.shape == (2, 2)
     assert ok.M == 2
