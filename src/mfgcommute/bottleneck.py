@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import CostModel, InvalidInputError
+from .route import _json_number
 
 __all__ = [
     "BottleneckSpec",
     "delay_profile",
     "departure_costs",
-    "shift_inertia",
     "bottleneck_cost_model",
     "load_spec",
 ]
@@ -37,9 +37,8 @@ class BottleneckSpec:
     M time slices over a window of L hours; capacity in veh/h against a total
     demand of ``demand`` commuters; alpha/beta/gamma cost per hour of delay,
     early arrival, late arrival; r the shared desired arrival time in hours;
-    epsilon the inertia weight per hour of departure shift.  ``slice_mapping``
-    picks whether a slice is identified with its left edge or its center when
-    converted to hours.
+    epsilon the inertia weight per hour of departure shift.  A slice is
+    identified with its left edge when converted to hours.
     """
 
     M: int
@@ -51,7 +50,6 @@ class BottleneckSpec:
     gamma: float
     r: float
     epsilon: float
-    slice_mapping: str = "left"
 
     def __post_init__(self):
         if self.M < 1 or self.L <= 0.0 or self.demand <= 0.0:
@@ -62,8 +60,9 @@ class BottleneckSpec:
             raise InvalidInputError("desired arrival must lie in the window")
         if self.epsilon < 0.0:
             raise InvalidInputError("epsilon must be non-negative")
-        if self.slice_mapping not in ("left", "center"):
-            raise InvalidInputError(f"unknown slice mapping {self.slice_mapping!r}")
+        # NaN fails this comparison too.
+        if not all(c >= 0.0 for c in (self.alpha, self.beta, self.gamma)):
+            raise InvalidInputError("alpha, beta and gamma must be non-negative")
         if not self.beta < self.alpha < self.gamma:
             warnings.warn(
                 "expected beta < alpha < gamma for a well-posed bottleneck",
@@ -80,10 +79,7 @@ class BottleneckSpec:
 
     def slice_positions(self) -> np.ndarray:
         """Departure time of each slice in hours."""
-        offsets = np.arange(self.M, dtype=float)
-        if self.slice_mapping == "center":
-            offsets = offsets + 0.5
-        return offsets * self.slice_hours
+        return np.arange(self.M, dtype=float) * self.slice_hours
 
 
 def delay_profile(mu, spec: BottleneckSpec) -> np.ndarray:
@@ -114,13 +110,6 @@ def departure_costs(mu, spec: BottleneckSpec) -> np.ndarray:
     return spec.alpha * t + spec.beta * early + spec.gamma * late
 
 
-def shift_inertia(s: int, s_prime: int, spec: BottleneckSpec) -> float:
-    """Inertia epsilon * |s - s'| * (L/M): hours of shift times the weight."""
-    if not (0 <= s < spec.M and 0 <= s_prime < spec.M):
-        raise InvalidInputError("slice index out of range")
-    return spec.epsilon * abs(s - s_prime) * spec.slice_hours
-
-
 def bottleneck_cost_model(spec: BottleneckSpec, theta: float) -> CostModel:
     """Cost model for the departure-time scenario.
 
@@ -128,8 +117,8 @@ def bottleneck_cost_model(spec: BottleneckSpec, theta: float) -> CostModel:
     rows of the identity): the cost of any slice is piecewise linear in its
     delay, and both the maximal delay of a slice and the zero-delay corner
     are attained within that sweep, so the sweep maximum dominates the cost
-    everywhere.  The inertia matrix is :func:`shift_inertia` over all slice
-    pairs.
+    everywhere.  The inertia between slices s and x is
+    epsilon * |s - x| * (L/M): hours of shift times the weight.
     """
     worst = float(departure_costs(np.eye(spec.M), spec).max())
     i = np.arange(spec.M)
@@ -145,17 +134,13 @@ def load_spec(path) -> BottleneckSpec:
     """Read a scenario file: {M, L, capacity, demand, alpha, beta, gamma, r, epsilon}."""
     try:
         raw = json.loads(Path(path).read_text())
+        # A file asking for another mapping must not load as left edges.
+        if raw.get("slice_mapping", "left") != "left":
+            raise ValueError("a slice maps to its left edge; slice_mapping must be 'left'")
         return BottleneckSpec(
-            M=int(raw["M"]),
-            L=float(raw["L"]),
-            capacity=float(raw["capacity"]),
-            demand=float(raw["demand"]),
-            alpha=float(raw["alpha"]),
-            beta=float(raw["beta"]),
-            gamma=float(raw["gamma"]),
-            r=float(raw["r"]),
-            epsilon=float(raw["epsilon"]),
-            slice_mapping=str(raw.get("slice_mapping", "left")),
+            M=_json_number(raw["M"], int),
+            **{k: _json_number(raw[k]) for k in
+               ("L", "capacity", "demand", "alpha", "beta", "gamma", "r", "epsilon")},
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed scenario file {path}: {exc}") from exc

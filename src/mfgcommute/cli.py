@@ -104,8 +104,9 @@ def _require(raw: dict, name: str):
 def _as_number(value, name, kind=float):
     try:
         number = kind(value)
-        # int() truncates a float; only an integral one names an int.
-        if kind is int and not isinstance(value, str) and number != value:
+        # int() truncates a float, and JSON's true would read as 1.
+        integral = kind is not int or isinstance(value, str) or number == value
+        if isinstance(value, bool) or not integral:
             raise ValueError
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(name, f"expected {kind.__name__}, got {value!r}") from None

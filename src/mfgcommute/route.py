@@ -10,8 +10,7 @@ flat penalty for switching paths or a penalty shrinking with path overlap.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,77 +18,62 @@ import numpy as np
 from .core import CostModel, InvalidInputError
 
 __all__ = [
-    "Link",
     "RoadNetwork",
     "RouteInertiaSpec",
     "link_flows",
-    "bpr_time",
     "path_costs",
     "route_cost_model",
     "load_network",
 ]
 
 
-@dataclass(frozen=True)
-class Link:
-    """One link: capacity (veh/h), BPR coefficient, free-flow time (min)."""
-
-    capacity: float
-    coef: float
-    free_flow: float
-
-
-@dataclass
+@dataclass(eq=False)
 class RoadNetwork:
-    """Single-OD network given by explicit paths over a shared link set."""
+    """Single-OD network given by explicit paths over a shared link set.
 
-    links: tuple[Link, ...]
+    ``capacity`` (veh/h), ``coef`` (BPR coefficient) and ``free_flow``
+    (min) hold one entry per link; each path lists the indices of its
+    links, none twice.  ``incidence`` is the (paths, links) 0/1 matrix
+    delta[s, l] = 1 iff link l lies on path s.
+    """
+
+    capacity: np.ndarray
+    coef: np.ndarray
+    free_flow: np.ndarray
     paths: tuple[tuple[int, ...], ...]
     demand: float
+    incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.links = tuple(self.links)
+        self.capacity = np.asarray(self.capacity, dtype=float)
+        self.coef = np.asarray(self.coef, dtype=float)
+        self.free_flow = np.asarray(self.free_flow, dtype=float)
         self.paths = tuple(tuple(p) for p in self.paths)
-        if not self.links or not self.paths:
+        n_links = self.capacity.size
+        if not self.capacity.shape == self.coef.shape == self.free_flow.shape == (n_links,):
+            raise InvalidInputError("capacity, coef and free_flow need one entry per link")
+        if not n_links or not self.paths:
             raise InvalidInputError("network needs at least one link and one path")
         if self.demand <= 0.0:
             raise InvalidInputError("demand must be positive")
-        for link in self.links:
-            if link.capacity <= 0.0:
-                raise InvalidInputError("link capacities must be positive")
-        for p in self.paths:
+        if not np.all(self.capacity > 0.0):
+            raise InvalidInputError("link capacities must be positive")
+        # NaN fails these comparisons too.
+        if not (np.all(self.coef >= 0.0) and np.all(self.free_flow >= 0.0)):
+            raise InvalidInputError("BPR coefficients and free-flow times must be non-negative")
+        self.incidence = np.zeros((len(self.paths), n_links))
+        for s, p in enumerate(self.paths):
             if len(p) == 0:
                 raise InvalidInputError("paths must be non-empty")
-            if any(l < 0 or l >= len(self.links) for l in p):
+            if any(l < 0 or l >= n_links for l in p):
                 raise InvalidInputError(f"path {p} references an unknown link")
-
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
+            if len(set(p)) != len(p):
+                raise InvalidInputError(f"path {p} repeats a link")
+            self.incidence[s, list(p)] = 1.0
 
     @property
     def num_paths(self) -> int:
         return len(self.paths)
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """(paths, links) 0/1 matrix delta[s, l] = 1 iff link l lies on path s."""
-        inc = np.zeros((self.num_paths, self.num_links))
-        for s, p in enumerate(self.paths):
-            inc[s, list(p)] = 1.0
-        return inc
-
-    @cached_property
-    def _capacity(self) -> np.ndarray:
-        return np.array([l.capacity for l in self.links])
-
-    @cached_property
-    def _coef(self) -> np.ndarray:
-        return np.array([l.coef for l in self.links])
-
-    @cached_property
-    def _free_flow(self) -> np.ndarray:
-        return np.array([l.free_flow for l in self.links])
 
 
 def link_flows(mu, net: RoadNetwork) -> np.ndarray:
@@ -105,13 +89,6 @@ def link_flows(mu, net: RoadNetwork) -> np.ndarray:
     return net.demand * (mu[..., :, None] * net.incidence).sum(axis=-2)
 
 
-def bpr_time(link: Link, v: float) -> float:
-    """BPR travel time t0 * (1 + b * (v/c)^4) in minutes; v must be >= 0."""
-    if v < 0.0:
-        raise InvalidInputError("link flow must be non-negative")
-    return link.free_flow * (1.0 + link.coef * (v / link.capacity) ** 4)
-
-
 def path_costs(mu, net: RoadNetwork) -> np.ndarray:
     """Travel cost of every path at the link flows induced by ``mu``.
 
@@ -119,7 +96,7 @@ def path_costs(mu, net: RoadNetwork) -> np.ndarray:
     (..., paths) output, one row per mean field.
     """
     v = link_flows(mu, net)
-    times = net._free_flow * (1.0 + net._coef * (v / net._capacity) ** 4)
+    times = net.free_flow * (1.0 + net.coef * (v / net.capacity) ** 4)
     return (net.incidence * times[..., None, :]).sum(axis=-1)
 
 
@@ -137,17 +114,12 @@ class RouteInertiaSpec:
             raise InvalidInputError("epsilon must be non-negative")
 
     def matrix(self, net: RoadNetwork) -> np.ndarray:
-        m = net.num_paths
         if self.kind == "indicator":
-            return self.epsilon * (1.0 - np.eye(m))
-        d = np.zeros((m, m))
-        sets = [set(p) for p in net.paths]
-        for i in range(m):
-            for j in range(m):
-                shared = len(sets[i] & sets[j])
-                union = len(sets[i] | sets[j])
-                d[i, j] = self.epsilon * (1.0 - shared / union)
-        return d
+            return self.epsilon * (1.0 - np.eye(net.num_paths))
+        inc = net.incidence
+        shared = inc @ inc.T  # links common to paths i and j
+        size = inc.sum(axis=1)
+        return self.epsilon * (1.0 - shared / (size[:, None] + size[None, :] - shared))
 
 
 def route_cost_model(
@@ -169,15 +141,25 @@ def route_cost_model(
     )
 
 
+def _json_number(value, kind=float):
+    """``kind(value)``; a boolean, or a non-integral value for int, is a ValueError."""
+    number = kind(value)
+    if isinstance(value, bool) or (kind is int and number != value):
+        raise ValueError(f"expected {kind.__name__}, got {value!r}")
+    return number
+
+
 def load_network(path) -> RoadNetwork:
     """Read a network file: {"links": [{c, b, t0}, ...], "paths": [[...]], "demand": x}."""
     try:
         raw = json.loads(Path(path).read_text())
-        links = tuple(
-            Link(capacity=float(l["c"]), coef=float(l["b"]), free_flow=float(l["t0"]))
-            for l in raw["links"]
+        links = raw["links"]
+        return RoadNetwork(
+            capacity=[_json_number(l["c"]) for l in links],
+            coef=[_json_number(l["b"]) for l in links],
+            free_flow=[_json_number(l["t0"]) for l in links],
+            paths=[[_json_number(i, int) for i in p] for p in raw["paths"]],
+            demand=_json_number(raw["demand"]),
         )
-        paths = tuple(tuple(int(i) for i in p) for p in raw["paths"])
-        return RoadNetwork(links=links, paths=paths, demand=float(raw["demand"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"malformed network file {path}: {exc}") from exc

@@ -55,6 +55,19 @@ def brute_value_gap_check(v, f, eps, slack):
     return ok
 
 
+def brute_overlap_inertia(paths, eps):
+    """eps * (1 - |shared links| / |links of either path|) over all path pairs."""
+    m = len(paths)
+    sets = [set(int(l) for l in p) for p in paths]
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            shared = len(sets[i] & sets[j])
+            union = len(sets[i] | sets[j])
+            d[i, j] = eps * (1.0 - shared / union)
+    return d
+
+
 def point_queue_delays(mu, c_b, slice_hours):
     """Step-by-step cumulative queue recursion for the bottleneck delay.
 

@@ -11,7 +11,6 @@ from mfgcommute.bottleneck import (
     delay_profile,
     departure_costs,
     load_spec,
-    shift_inertia,
 )
 from mfgcommute.core import InvalidInputError, dist_distance
 from oracles import point_queue_delays
@@ -100,12 +99,12 @@ def test_departure_cost_scheduling_arithmetic():
 
 
 def test_shift_inertia_values(guo):
-    assert shift_inertia(7, 7, guo) == 0.0
-    assert shift_inertia(12, 13, guo) == pytest.approx(0.075, rel=1e-12)
-    assert shift_inertia(0, 39, guo) == pytest.approx(2.925, rel=1e-12)
-    assert shift_inertia(5, 9, guo) == shift_inertia(9, 5, guo)
-    with pytest.raises(InvalidInputError):
-        shift_inertia(0, 40, guo)
+    d = bottleneck_cost_model(guo, 20.0).inertia_matrix
+    assert d.shape == (40, 40)
+    assert d[7, 7] == 0.0
+    assert d[12, 13] == pytest.approx(0.075, rel=1e-12)
+    assert d[0, 39] == pytest.approx(2.925, rel=1e-12)
+    assert d[5, 9] == d[9, 5]
 
 
 def test_cost_lipschitz_in_mean_field(guo):
@@ -145,18 +144,9 @@ def test_cost_model_batched_rows_equal_single_days(guo):
 
 def test_cost_model_inertia_matches_shift_inertia(guo):
     cm = bottleneck_cost_model(guo, 20.0)
-    expected = [[shift_inertia(s, x, guo) for x in range(guo.M)] for s in range(guo.M)]
+    expected = [[guo.epsilon * abs(s - x) * guo.slice_hours for x in range(guo.M)]
+                for s in range(guo.M)]
     assert np.array_equal(cm.inertia_matrix, np.array(expected))
-
-
-def test_slice_mapping_toggle(guo):
-    from dataclasses import replace
-
-    centered = replace(guo, slice_mapping="center")
-    assert np.allclose(centered.slice_positions(),
-                       guo.slice_positions() + guo.slice_hours / 2)
-    with pytest.raises(InvalidInputError):
-        replace(guo, slice_mapping="right")
 
 
 def test_spec_validation_and_ordering_warning():
@@ -166,6 +156,10 @@ def test_spec_validation_and_ordering_warning():
     with pytest.raises(InvalidInputError):
         BottleneckSpec(M=40, L=3.0, capacity=3000, demand=6000,
                        alpha=10, beta=5, gamma=15, r=4.0, epsilon=1.0)
+    for cost in ("alpha", "beta", "gamma"):
+        for bad in (-5.0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                BottleneckSpec(**{**GUO, cost: bad})
     with pytest.warns(UserWarning):
         BottleneckSpec(M=40, L=3.0, capacity=3000, demand=6000,
                        alpha=10, beta=12, gamma=15, r=2.0, epsilon=1.0)
@@ -179,6 +173,20 @@ def test_load_spec_malformed(tmp_path):
     bad.write_text('{"M": 40, "L"')  # truncated JSON
     with pytest.raises(InvalidInputError):
         load_spec(bad)
+    # 40.7 slices are not 40, and JSON's true is not one slice or one hour.
+    for field, value in [("M", 40.7), ("M", True), ("M", float("inf")), ("L", True)]:
+        bad.write_text(json.dumps({**GUO, field: value}))
+        with pytest.raises(InvalidInputError, match="spec.json"):
+            load_spec(bad)
+
+
+def test_load_spec_rejects_a_slice_mapping_other_than_left(tmp_path, guo):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**GUO, "slice_mapping": "left"}))
+    assert load_spec(path) == guo
+    path.write_text(json.dumps({**GUO, "slice_mapping": "center"}))
+    with pytest.raises(InvalidInputError, match="slice_mapping"):
+        load_spec(path)
 
 
 def test_load_spec_non_numeric_field_names_the_file(tmp_path, repo_root):

@@ -86,6 +86,9 @@ def test_config_field_errors(tmp_path, repo_root):
         ("horizon", {"horizon": 5.7}),
         ("solver.max_iters", {"solver": {"max_iters": 2.9}}),
         ("policy_days", {"policy_days": [1.9]}),
+        # JSON's true is not the number 1.
+        ("horizon", {"horizon": True}),
+        ("theta", {"theta": True}),
     ]:
         cfg = route_config(repo_root, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -285,8 +288,25 @@ def bottleneck_config(repo_root, out_dir, **overrides):
 ])
 def test_validate_rejects_non_finite_scenario_cost(tmp_path, repo_root, capsys,
                                                    scenario, file, field, bad):
-    # The cost bound is computed from the costs, so a non-finite cost
-    # parameter is caught when the cost model is built, before any solve.
+    # Caught before any solve: NaN by the scenario's own checks, inf by the
+    # cost bound, which is computed from the costs and must be finite.
+    assert_scenario_field_rejected(tmp_path, repo_root, capsys, scenario, file, field, bad)
+
+
+@pytest.mark.parametrize("scenario, file, field, bad", [
+    ("route", "grid9.json", ("links", 0, "b"), -50),
+    ("route", "grid9.json", ("links", 0, "t0"), -1),
+    ("bottleneck", "bottleneck_guo2018.json", ("alpha",), -10),
+    ("bottleneck", "bottleneck_guo2018.json", ("beta",), -5),
+    ("bottleneck", "bottleneck_guo2018.json", ("gamma",), -15),
+])
+def test_validate_rejects_negative_scenario_cost(tmp_path, repo_root, capsys,
+                                                 scenario, file, field, bad):
+    # Costs below 0 would break the [0, bound_C] range the solvers assume.
+    assert_scenario_field_rejected(tmp_path, repo_root, capsys, scenario, file, field, bad)
+
+
+def assert_scenario_field_rejected(tmp_path, repo_root, capsys, scenario, file, field, bad):
     data = json.loads((repo_root / "scenarios" / file).read_text())
     target = data
     for key in field[:-1]:

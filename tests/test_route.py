@@ -2,6 +2,7 @@ from __future__ import annotations
 
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ import pytest
 from mfgcommute.core import InvalidInputError, dist_distance, uniform_distribution
 from mfgcommute.fictitious import FPConfig, fictitious_play
 from mfgcommute.route import (
-    Link,
     RoadNetwork,
     RouteInertiaSpec,
-    bpr_time,
     link_flows,
     load_network,
     path_costs,
     route_cost_model,
 )
 from mfgcommute.stationary import augmented_cost_profile, logit_sue
+from oracles import brute_overlap_inertia
 
 # Link table and path-link relationship of the nine-node grid, kept inline so
 # the tests do not trust the shipped scenario file.
@@ -35,9 +35,9 @@ GRID_PATHS = [
 
 def test_shipped_network_matches_reference_tables(grid9):
     assert grid9.demand == 2000
-    assert [(l.capacity, l.coef, l.free_flow) for l in grid9.links] == [
-        (c, b, t0) for c, b, t0 in GRID_LINKS
-    ]
+    assert np.array_equal(
+        np.column_stack([grid9.capacity, grid9.coef, grid9.free_flow]), GRID_LINKS
+    )
     assert list(grid9.paths) == [tuple(p) for p in GRID_PATHS]
 
 
@@ -62,12 +62,19 @@ def test_link_flows_dimension_mismatch(grid9):
         link_flows(np.array([1.0, 0.0]), grid9)
 
 
+def one_link(c, b, t0, demand):
+    return RoadNetwork(capacity=[c], coef=[b], free_flow=[t0], paths=[[0]], demand=demand)
+
+
+def bpr(c, b, t0, v):
+    """BPR time of a one-link, one-path network whose whole demand v uses it."""
+    return path_costs([1.0], one_link(c, b, t0, v))[0]
+
+
 def test_bpr_time_table_values():
-    assert bpr_time(Link(600, 0.23, 15), 0.0) == 15.0
-    assert bpr_time(Link(600, 0.23, 15), 600.0) == pytest.approx(18.45, abs=1e-12)
-    assert bpr_time(Link(700, 0.23, 10), 1400.0) == pytest.approx(46.8, abs=1e-12)
-    with pytest.raises(InvalidInputError):
-        bpr_time(Link(600, 0.23, 15), -1.0)
+    assert path_costs([0.0], one_link(600, 0.23, 15, 600.0))[0] == 15.0
+    assert bpr(600, 0.23, 15, 600.0) == pytest.approx(18.45, abs=1e-12)
+    assert bpr(700, 0.23, 10, 1400.0) == pytest.approx(46.8, abs=1e-12)
 
 
 def test_bpr_monotone_in_flow():
@@ -75,7 +82,7 @@ def test_bpr_monotone_in_flow():
     for _ in range(200):
         c, b, t0 = rng.uniform(300, 900), rng.uniform(0.1, 0.3), rng.uniform(5, 20)
         v = np.sort(rng.uniform(0, 2500, size=2))
-        assert bpr_time(Link(c, b, t0), v[0]) <= bpr_time(Link(c, b, t0), v[1])
+        assert bpr(c, b, t0, v[0]) <= bpr(c, b, t0, v[1])
 
 
 def test_path_cost_single_path_pileup(grid9):
@@ -90,7 +97,7 @@ def test_path_cost_single_path_pileup(grid9):
 
 
 def test_path_cost_free_flow_limit(grid9):
-    tiny = RoadNetwork(links=grid9.links, paths=grid9.paths, demand=1e-9)
+    tiny = replace(grid9, demand=1e-9)
     costs = path_costs(uniform_distribution(6), tiny)
     assert costs[0] == pytest.approx(15 + 12 + 14 + 17, abs=1e-9)
 
@@ -124,6 +131,21 @@ def test_inertia_specs(grid9):
         RouteInertiaSpec("indicator", -0.1)
 
 
+def test_overlap_inertia_matches_set_loop(grid9):
+    rng = np.random.default_rng(5)
+    nets = [grid9]
+    for _ in range(50):
+        n_links = int(rng.integers(1, 15))
+        paths = [rng.choice(n_links, size=int(rng.integers(1, n_links + 1)), replace=False)
+                 for _ in range(int(rng.integers(1, 9)))]
+        nets.append(RoadNetwork(capacity=np.full(n_links, 500.0), coef=np.full(n_links, 0.2),
+                                free_flow=np.full(n_links, 10.0), paths=paths, demand=100.0))
+    for net in nets:
+        for eps in (0.0, 1.0, 2.0, float(rng.uniform(0, 3))):
+            got = RouteInertiaSpec("overlap", eps).matrix(net)
+            assert np.array_equal(got, brute_overlap_inertia(net.paths, eps))
+
+
 def test_route_cost_model_bound_dominates_costs(grid9, route_cm_e1t1):
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -152,11 +174,8 @@ def no_inertia(net, theta):
 
 
 def test_logit_sue_symmetric_parallel_links():
-    net = RoadNetwork(
-        links=(Link(500, 0.2, 10), Link(500, 0.2, 10)),
-        paths=((0,), (1,)),
-        demand=800,
-    )
+    net = RoadNetwork(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
+                      paths=((0,), (1,)), demand=800)
     assert np.allclose(logit_sue(no_inertia(net, 2.0)), [0.5, 0.5], atol=1e-10)
 
 
@@ -172,12 +191,23 @@ def test_logit_sue_equalizes_augmented_cost(grid9):
 
 
 def test_network_validation():
-    with pytest.raises(InvalidInputError):
-        RoadNetwork(links=(Link(500, 0.2, 10),), paths=((0, 3),), demand=100)
-    with pytest.raises(InvalidInputError):
-        RoadNetwork(links=(Link(500, 0.2, 10),), paths=((0,),), demand=0.0)
-    with pytest.raises(InvalidInputError):
-        RoadNetwork(links=(Link(0.0, 0.2, 10),), paths=((0,),), demand=10)
+    good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
+                paths=((0, 1),), demand=100)
+    assert RoadNetwork(**good).incidence.tolist() == [[1.0, 1.0]]
+    for bad in [
+        {"paths": ((0, 3),)},
+        {"paths": ((0, 0, 1),)},  # a repeated link would be costed once
+        {"paths": ((),)},
+        {"demand": 0.0},
+        {"capacity": [0.0, 500]},
+        {"coef": [-0.2, 0.2]},
+        {"coef": [0.2, float("nan")]},
+        {"free_flow": [10, -1]},
+        {"free_flow": [float("nan"), 10]},
+        {"coef": [0.2]},  # one entry per link
+    ]:
+        with pytest.raises(InvalidInputError):
+            RoadNetwork(**{**good, **bad})
 
 
 def test_load_network_malformed(tmp_path):
@@ -188,6 +218,11 @@ def test_load_network_malformed(tmp_path):
     bad.write_text('{"links": [{"c": 1')  # truncated JSON
     with pytest.raises(InvalidInputError):
         load_network(bad)
+    link = '{"c": 1, "b": 0.2, "t0": 1}'
+    for paths, demand in [("[[0, 1.9]]", "5"), ("[[true]]", "5"), ("[[0]]", "true")]:
+        bad.write_text(f'{{"links": [{link}, {link}], "paths": {paths}, "demand": {demand}}}')
+        with pytest.raises(InvalidInputError, match="net.json"):
+            load_network(bad)
 
 
 def test_load_network_non_numeric_field_names_the_file(tmp_path, repo_root):
