@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import time
 from dataclasses import dataclass, replace
@@ -33,7 +32,7 @@ from .core import (
     uniform_distribution,
 )
 from .fictitious import FPConfig, fictitious_play
-from .route import RouteInertiaSpec, link_flows, load_network, route_cost_model
+from .route import RouteInertiaSpec, _json_number, link_flows, load_network, route_cost_model
 from .stationary import (
     augmented_cost_profile,
     logit_sue,
@@ -102,15 +101,11 @@ def _require(raw: dict, name: str):
 
 
 def _as_number(value, name, kind=float):
+    """The scenario files' rule for a config field: a finite JSON number."""
     try:
-        number = kind(value)
-        # int() truncates a float, and JSON's true would read as 1.
-        integral = kind is not int or isinstance(value, str) or number == value
-        if isinstance(value, bool) or not integral:
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(name, f"expected {kind.__name__}, got {value!r}") from None
-    return number
+        return _json_number(value, kind)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(name, str(exc)) from None
 
 
 def _policy_days(days, horizon: int) -> list[int]:
@@ -129,13 +124,13 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     if horizon < 1:
         raise ConfigError("horizon", "must be >= 1")
     theta = _as_number(_require(raw, "theta"), "theta")
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise ConfigError("theta", "must be > 0 and finite")
+    if not theta > 0.0:
+        raise ConfigError("theta", "must be > 0")
     epsilon = raw.get("epsilon")
     if epsilon is not None:
         epsilon = _as_number(epsilon, "epsilon")
-        if not (epsilon >= 0.0 and math.isfinite(epsilon)):
-            raise ConfigError("epsilon", "must be >= 0 and finite")
+        if not epsilon >= 0.0:
+            raise ConfigError("epsilon", "must be >= 0")
     if scenario == "route" and epsilon is None:
         raise ConfigError("epsilon", "required for the route scenario")
     inertia_kind = raw.get("inertia_kind", "indicator" if scenario == "route" else "shift")
@@ -402,7 +397,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "run":
             if args.policy_days is not None:
-                days = [d for d in args.policy_days.split(",") if d.strip()]
+                try:
+                    days = [int(d) for d in args.policy_days.split(",") if d.strip()]
+                except ValueError:
+                    raise ConfigError(
+                        "policy_days", f"expected integers, got {args.policy_days!r}"
+                    ) from None
                 cfg.policy_days = _policy_days(days, cfg.horizon)
             return run_experiment(cfg, args.out)
         return compare_smfe(cfg, args.out)

@@ -10,6 +10,7 @@ flat penalty for switching paths or a penalty shrinking with path overlap.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,11 +143,15 @@ def route_cost_model(
 
 
 def _json_number(value, kind=float):
-    """``kind(value)``; a boolean, or a non-integral value for int, is a ValueError."""
-    number = kind(value)
-    if isinstance(value, bool) or (kind is int and number != value):
-        raise ValueError(f"expected {kind.__name__}, got {value!r}")
-    return number
+    """``kind(value)`` of a finite JSON number, else a ValueError.
+
+    A string, a boolean, Infinity, NaN and, for int, a non-integral value
+    are all rejected.
+    """
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and math.isfinite(value)) or (kind is int and value != int(value)):
+        raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def load_network(path) -> RoadNetwork:

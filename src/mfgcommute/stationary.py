@@ -30,6 +30,7 @@ from .core import (
     InvalidInputError,
     SolverFailure,
     _bellman_core,
+    _forward_step_core,
     bellman_apply,
     check_stochastic,
     dist_distance,
@@ -64,7 +65,7 @@ class StationaryPair:
 
 
 def _relative_values(cm, mu, v_start):
-    """Average-cost values at frozen ``mu``: gauge-fixed V, lambda and the policy.
+    """Average-cost values at frozen ``mu``: gauge-fixed V, lambda, pi and G V.
 
     Soft policy iteration, i.e. Newton's method on G V = V + lambda
     (Puterman, *Markov Decision Processes*, 1994, ch. 8), from ``v_start``:
@@ -72,16 +73,18 @@ def _relative_values(cm, mu, v_start):
     c(s) = f(s) + sum_x pi(x|s) (d(s, x) + ln pi(x|s) / theta) and column 0
     (free since V(0) = 0) holding the ones of lambda.  It stops at a repeat
     of V or once a step lowers neither the least move nor the least lambda
-    so far: only rounding stalls both.  The caller certifies the result (r1).
+    so far: only rounding stalls both.  The caller certifies the result: r1
+    compares the returned backup G V, whose policy is pi, with V + lambda.
     """
     f = cm.cost(mu)  # frozen mu: one cost evaluation for all steps
     d = cm.inertia_matrix
     v = v_start - v_start[0]
+    eye = np.eye(cm.M)
     least_lam = least_move = math.inf
     for _ in range(100):  # only a rounding cycle reaches this cap
         _, pi = _bellman_core(f, d, v, cm.theta)
         c = f + (pi * d).sum(axis=1) + xlogy(pi, pi).sum(axis=1) / cm.theta
-        a = np.eye(cm.M) - pi
+        a = eye - pi
         a[:, 0] = 1.0
         x = np.linalg.solve(a, c)
         lam = float(x[0])
@@ -91,8 +94,8 @@ def _relative_values(cm, mu, v_start):
         if move == 0.0 or (move >= least_move and lam >= least_lam):
             break
         least_move, least_lam = min(move, least_move), min(lam, least_lam)
-    _, pi = _bellman_core(f, d, v, cm.theta)
-    return v, lam, pi
+    backed, pi = _bellman_core(f, d, v, cm.theta)
+    return v, lam, pi, backed
 
 
 def _stationary_distribution(pi):
@@ -101,10 +104,10 @@ def _stationary_distribution(pi):
     The normalization replaces the first (redundant) balance equation.
     Entries far below 1e-16 can round a few ulps below 0; they are clipped.
     """
-    m = pi.shape[0]
-    a = np.eye(m) - pi.T
+    eye = np.eye(pi.shape[0])
+    a = eye - pi.T
     a[0] = 1.0
-    nu = np.clip(np.linalg.solve(a, np.eye(m)[0]), 0.0, None)
+    nu = np.clip(np.linalg.solve(a, eye[0]), 0.0, None)
     return nu / math.fsum(nu)
 
 
@@ -156,14 +159,17 @@ def solve_smfe(
 
     Each outer round solves the average-cost values exactly at the current
     distribution, then damps the distribution toward the invariant law of
-    the induced policy.  If the distribution residual stalls, one long-horizon
+    the induced policy.  A round prices its pair once: r1 comes from the
+    backup G V that ends the value solve and r2 from one forward step of its
+    policy, the formulas of ``smfe_residuals`` without its input checks and
+    second backup.  If the distribution residual stalls, one long-horizon
     fictitious play run re-seeds the distribution from the middle of the
     horizon, where the equilibrium is closest to stationary.  Raises
-    SolverFailure with the last residuals if the cap is exhausted.  The step
-    is halved only after 50 rounds without a new best residual, so a start
-    near a solution needs a small ``damping``: at 0.5, ``init`` set to
-    route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9 to
-    0.92 in 20 rounds.
+    SolverFailure if the cap is exhausted; its payload holds the last pair
+    priced with that pair's r1 and r2.  The step is halved only after 50
+    rounds without a new best residual, so a start near a solution needs a
+    small ``damping``: at 0.5, ``init`` set to route_e1t1's own ``mu_bar``
+    (``tol=1e-10``) goes from r2 = 9.9e-9 to 0.92 in 20 rounds.
     """
     if init is None:
         mu = uniform_distribution(cm.M)
@@ -176,12 +182,13 @@ def solve_smfe(
     fallback_at = min(5_000, max(max_outer // 2, 1))
     fallback_used = not fallback
     for outer in range(max_outer):
-        v, lam, pi = _relative_values(cm, mu, v)
-        pair = StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
-        r1, r2 = smfe_residuals(pair, cm)
+        v, lam, pi, backed = _relative_values(cm, mu, v)
+        r1, r2 = _pair_residuals(backed, v, lam, pi, mu)
         if r1 <= tol and r2 <= tol:
             logger.info("stationary solve converged after %d rounds", outer + 1)
-            return pair
+            return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
+        if outer + 1 == max_outer:
+            break  # the failure reports the pair that r1 and r2 measure
         if outer + 1 >= fallback_at and not fallback_used and r2 > 1e-3:
             mu = _fallback_seed(cm)
             v = np.zeros(cm.M)
@@ -249,8 +256,15 @@ def smfe_residuals(p: StationaryPair, cm: CostModel):
     r1 = max_s |G V(s) - V(s) - lambda|, r2 = d_f(K_pi mu, mu).
     """
     backed, _ = bellman_apply(p.V_bar, p.mu_bar, cm)
-    r1 = float(np.max(np.abs(backed - p.V_bar - p.lambda_bar)))
-    return r1, sdsue_check(p.mu_bar, p.pi_bar)
+    mu = np.asarray(p.mu_bar, dtype=float)  # validated by bellman_apply
+    pi = check_stochastic(p.pi_bar, "policy", (cm.M, cm.M))
+    return _pair_residuals(backed, p.V_bar, p.lambda_bar, pi, mu)
+
+
+def _pair_residuals(backed, v, lam, pi, mu):
+    """(r1, r2) of a pair from its backup ``backed`` = G V; inputs unchecked."""
+    r1 = float(np.max(np.abs(backed - v - lam)))
+    return r1, dist_distance(_forward_step_core(pi, mu), mu)
 
 
 def sdsue_check(mu, pi) -> float:

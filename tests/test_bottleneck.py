@@ -173,8 +173,11 @@ def test_load_spec_malformed(tmp_path):
     bad.write_text('{"M": 40, "L"')  # truncated JSON
     with pytest.raises(InvalidInputError):
         load_spec(bad)
-    # 40.7 slices are not 40, and JSON's true is not one slice or one hour.
-    for field, value in [("M", 40.7), ("M", True), ("M", float("inf")), ("L", True)]:
+    # 40.7 slices are not 40, JSON's true is not one slice or one hour, and
+    # a number in a string, Infinity or NaN is not a finite JSON number.
+    for field, value in [("M", 40.7), ("M", True), ("M", float("inf")), ("L", True),
+                         ("M", "40"), ("L", "1.5"), ("alpha", float("nan")),
+                         ("demand", float("inf")), ("beta", float("-inf"))]:
         bad.write_text(json.dumps({**GUO, field: value}))
         with pytest.raises(InvalidInputError, match="spec.json"):
             load_spec(bad)

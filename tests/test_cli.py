@@ -89,6 +89,14 @@ def test_config_field_errors(tmp_path, repo_root):
         # JSON's true is not the number 1.
         ("horizon", {"horizon": True}),
         ("theta", {"theta": True}),
+        # A number in a string is not a JSON number, and NaN is not finite.
+        ("theta", {"theta": "1.0"}),
+        ("horizon", {"horizon": "30"}),
+        ("epsilon", {"epsilon": "1"}),
+        ("mu0", {"mu0": ["0.5", 0.5]}),
+        ("policy_days", {"policy_days": ["1"]}),
+        ("theta", {"theta": float("nan")}),
+        ("solver.exploitability_tol", {"solver": {"exploitability_tol": float("nan")}}),
     ]:
         cfg = route_config(repo_root, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -288,8 +296,7 @@ def bottleneck_config(repo_root, out_dir, **overrides):
 ])
 def test_validate_rejects_non_finite_scenario_cost(tmp_path, repo_root, capsys,
                                                    scenario, file, field, bad):
-    # Caught before any solve: NaN by the scenario's own checks, inf by the
-    # cost bound, which is computed from the costs and must be finite.
+    # Caught before any solve, by the loader: it takes only finite numbers.
     assert_scenario_field_rejected(tmp_path, repo_root, capsys, scenario, file, field, bad)
 
 

@@ -219,8 +219,15 @@ def test_load_network_malformed(tmp_path):
     with pytest.raises(InvalidInputError):
         load_network(bad)
     link = '{"c": 1, "b": 0.2, "t0": 1}'
-    for paths, demand in [("[[0, 1.9]]", "5"), ("[[true]]", "5"), ("[[0]]", "true")]:
+    for paths, demand in [("[[0, 1.9]]", "5"), ("[[true]]", "5"), ("[[0]]", "true"),
+                          ('[["1"]]', "5"), ("[[0]]", '"5"'), ("[[0]]", "Infinity")]:
         bad.write_text(f'{{"links": [{link}, {link}], "paths": {paths}, "demand": {demand}}}')
+        with pytest.raises(InvalidInputError, match="net.json"):
+            load_network(bad)
+    # A number in a string, Infinity and NaN are not finite JSON numbers.
+    for other in ('{"c": 1, "b": "0.15", "t0": 1}', '{"c": 1, "b": 0.2, "t0": Infinity}',
+                  '{"c": NaN, "b": 0.2, "t0": 1}', '{"c": 1, "b": -Infinity, "t0": 1}'):
+        bad.write_text(f'{{"links": [{link}, {other}], "paths": [[0, 1]], "demand": 5}}')
         with pytest.raises(InvalidInputError, match="net.json"):
             load_network(bad)
 

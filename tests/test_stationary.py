@@ -371,6 +371,19 @@ def test_solver_failure_carries_residuals():
     assert "r2" in exc.value.payload
 
 
+def test_solver_failure_payload_is_the_pair_its_residuals_measure(
+        route_cm_e1t1, bottleneck_cm_e1t20):
+    # A capped solve reports the pair it priced last, not that pair's
+    # distribution moved one more damped step.
+    for cm in (route_cm_e1t1, bottleneck_cm_e1t20[0]):
+        with pytest.raises(SolverFailure) as exc:
+            solve_smfe(cm, max_outer=30, fallback=False)
+        p = exc.value.payload
+        pi = bellman_apply(p["V_bar"], p["mu_bar"], cm)[1]
+        pair = StationaryPair(p["V_bar"], p["mu_bar"], p["lambda_bar"], pi)
+        assert smfe_residuals(pair, cm) == (p["r1"], p["r2"])
+
+
 def test_solve_smfe_rejects_an_init_of_the_wrong_length():
     with pytest.raises(InvalidInputError):
         solve_smfe(two_state_model(), init=uniform_distribution(3))
@@ -386,19 +399,21 @@ def test_relative_values_solve_the_average_cost_equation(
     rng = np.random.default_rng(3)
     for cm in models:
         mu = rng.dirichlet(np.ones(cm.M))
-        v, lam, pi = stationary._relative_values(cm, mu, np.zeros(cm.M))
-        backed, backed_pi = bellman_apply(v, mu, cm)
+        v, lam, pi, backed = stationary._relative_values(cm, mu, np.zeros(cm.M))
+        applied, applied_pi = bellman_apply(v, mu, cm)
         assert v[0] == 0.0
-        assert np.max(np.abs(backed - v - lam)) <= 1e-12 * max(1.0, abs(lam))
-        assert np.array_equal(pi, backed_pi)
+        assert np.max(np.abs(applied - v - lam)) <= 1e-12 * max(1.0, abs(lam))
+        # solve_smfe's r1 rests on this: the returned backup is G V itself.
+        assert np.array_equal(backed, applied)
+        assert np.array_equal(pi, applied_pi)
 
 
 def test_relative_values_independent_of_start(route_cm_e1t1, bottleneck_cm_e1t20):
     rng = np.random.default_rng(4)
     for cm in (route_cm_e1t1, bottleneck_cm_e1t20[0]):
         mu = rng.dirichlet(np.ones(cm.M))
-        v0, lam0, _ = stationary._relative_values(cm, mu, np.zeros(cm.M))
-        v1, lam1, _ = stationary._relative_values(cm, mu, 50.0 * rng.normal(size=cm.M))
+        v0, lam0, _, _ = stationary._relative_values(cm, mu, np.zeros(cm.M))
+        v1, lam1, _, _ = stationary._relative_values(cm, mu, 50.0 * rng.normal(size=cm.M))
         scale = max(1.0, abs(lam0))
         assert abs(lam1 - lam0) <= 1e-12 * scale
         assert np.max(np.abs(v1 - v0)) <= 1e-12 * max(scale, np.max(np.abs(v0)))
@@ -416,7 +431,7 @@ def test_invariant_law_of_a_nearly_degenerate_policy(bottleneck_cm_e1t20):
         for width in (1.5, 2.0, 3.0, 4.0, 6.0):
             w = np.exp(-((slices - centre) / width) ** 2)
             mu = w / w.sum()
-            _, _, pi = stationary._relative_values(cm, mu, np.zeros(cm.M))
+            _, _, pi, _ = stationary._relative_values(cm, mu, np.zeros(cm.M))
             assert pi.min() < 1e-200
             nu = stationary._stationary_distribution(pi)
             assert np.all(nu >= 0.0)
