@@ -25,6 +25,7 @@ import numpy as np
 from .bottleneck import bottleneck_cost_model, load_spec
 from .core import (
     InvalidInputError,
+    KernelLimitError,
     SolverFailure,
     check_stochastic,
     dist_distance,
@@ -185,7 +186,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def build_scenario(cfg: ExperimentConfig):
-    """Instantiate the cost model and scenario object named by the config."""
+    """Instantiate the cost model and scenario object named by the config.
+
+    A theta past the kernel limit names ``theta``; any other error reading
+    the scenario file or building its model names ``scenario_file``.
+    """
     try:
         if cfg.scenario == "route":
             net = load_network(cfg.scenario_path)
@@ -195,6 +200,8 @@ def build_scenario(cfg: ExperimentConfig):
         if cfg.epsilon is not None:
             spec = replace(spec, epsilon=cfg.epsilon)
         return bottleneck_cost_model(spec, cfg.theta), spec
+    except KernelLimitError as exc:
+        raise ConfigError("theta", str(exc)) from exc
     except (OSError, InvalidInputError) as exc:
         raise ConfigError("scenario_file", str(exc)) from exc
 

@@ -29,7 +29,9 @@ from scipy.special import xlogy
 __all__ = [
     "DIST_TOL",
     "RENORM_TOL",
+    "KERNEL_LIMIT",
     "InvalidInputError",
+    "KernelLimitError",
     "NumericError",
     "SolverFailure",
     "CostModel",
@@ -50,10 +52,17 @@ __all__ = [
 DIST_TOL = 1e-12
 # Mass drift absorbed silently by forward_step; anything larger is an error.
 RENORM_TOL = 1e-10
+# Largest theta * max d(s, x) a cost model accepts: below it every entry of
+# the Gibbs kernel exp(-theta d) is a normal float (exp(-708) is the least).
+KERNEL_LIMIT = 700.0
 
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""
+
+
+class KernelLimitError(InvalidInputError):
+    """theta times the largest switching cost exceeds KERNEL_LIMIT."""
 
 
 class NumericError(ArithmeticError):
@@ -118,14 +127,17 @@ class CostModel:
     a whole (N, M) horizon, and each row of a batched call must equal the
     call on that row alone.  ``inertia_matrix`` holds the switching cost
     d(s, x) between consecutive days; it fixes M.  ``theta`` is the inverse
-    noise scale of the entropy penalty.  ``bound_C`` must dominate both cost
-    components over all admissible inputs.  ``cost`` must be deterministic.
+    noise scale of the entropy penalty, and theta * max d may not exceed
+    KERNEL_LIMIT.  ``bound_C`` must dominate both cost components over all
+    admissible inputs.  ``cost`` must be deterministic.  ``kernel`` is
+    derived, not set: the Gibbs kernel exp(-theta d) of the Bellman backup.
     """
 
     cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     inertia_matrix: np.ndarray
     theta: float
     bound_C: float
+    kernel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         d = np.asarray(self.inertia_matrix, dtype=float)
@@ -139,7 +151,14 @@ class CostModel:
             raise InvalidInputError("bound_C must be non-negative and finite")
         if not np.all(np.isfinite(d)) or np.any(d < 0.0) or np.any(d > self.bound_C):
             raise InvalidInputError("inertia values must lie in [0, bound_C]")
+        theta, d_max = float(self.theta), float(d.max())
+        if theta * d_max > KERNEL_LIMIT:
+            raise KernelLimitError(
+                f"theta * max inertia = {theta!r} * {d_max!r} = {theta * d_max!r}"
+                f" exceeds the kernel limit {KERNEL_LIMIT:g}"
+            )
         self.inertia_matrix = d
+        self.kernel = np.exp(-self.theta * d)
 
     @property
     def M(self) -> int:
@@ -168,16 +187,24 @@ def dist_distance(a, b) -> float:
 # backward operators
 
 
-def _bellman_core(f, d, v_next, theta):
-    # One sweep of V(s) = f(s) - (1/theta) ln sum_x exp(-theta (d(s,x)+V(x)))
-    # with the softmax policy as by-product.  Max-shifted so theta times the
-    # score range may reach ~700 without overflow.
-    scores = -theta * (d + v_next[None, :])
-    shift = scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores - shift)
-    norm = weights.sum(axis=1)
-    value = f - (shift[:, 0] + np.log(norm)) / theta
-    return value, weights / norm[:, None]
+def _soft_backup(kernel, v_next, theta):
+    # One day's soft minimum -(1/theta) ln sum_x exp(-theta (d(s,x) + V(x)))
+    # in kernel form: exp(-theta (d + V)) = kernel * u with u(x) =
+    # exp(-theta (V(x) - c)) shifted by c = min V ((c - V) * theta is that
+    # exponent to the bit).  Then z = kernel @ u >= exp(-theta max d), a
+    # normal float while theta max d <= KERNEL_LIMIT, and a weight that u
+    # rounds to 0 (exponent below -745) is less than e^-45 of z.
+    c = v_next.min()
+    u = np.exp((c - v_next) * theta)
+    z = kernel.dot(u)
+    return c - np.log(z) / theta, u, z
+
+
+def _bellman_core(f, kernel, v_next, theta):
+    # V(s) = f(s) - (1/theta) ln sum_x exp(-theta (d(s,x)+V(x))) with the
+    # softmax policy as by-product.
+    soft, u, z = _soft_backup(kernel, v_next, theta)
+    return f + soft, kernel * u / z[:, None]
 
 
 def bellman_apply(v_next, mu, cm: CostModel):
@@ -193,16 +220,20 @@ def bellman_apply(v_next, mu, cm: CostModel):
     if not np.all(np.isfinite(v_next)):
         raise InvalidInputError("value vector contains non-finite entries")
     mu = check_stochastic(mu, "mean field", (cm.M,))
-    return _bellman_core(cm.cost(mu), cm.inertia_matrix, v_next, cm.theta)
+    return _bellman_core(cm.cost(mu), cm.kernel, v_next, cm.theta)
 
 
-def _backward_induction_core(f_table, d, theta):
+def _backward_induction_core(f_table, kernel, theta):
+    # The day loop touches only vectors; the policies of all days are formed
+    # afterwards in one broadcast, in _bellman_core's elementwise order.
     n_days, m = f_table.shape
     values = np.zeros((n_days + 1, m))
-    policies = np.empty((n_days, m, m))
+    u = np.empty((n_days, m))
+    z = np.empty((n_days, m))
     for n in range(n_days - 1, -1, -1):
-        values[n], policies[n] = _bellman_core(f_table[n], d, values[n + 1], theta)
-    return values, policies
+        soft, u[n], z[n] = _soft_backup(kernel, values[n + 1], theta)
+        values[n] = f_table[n] + soft
+    return values, kernel * u[:, None, :] / z[:, :, None]
 
 
 def backward_induction(mu, cm: CostModel):
@@ -212,7 +243,7 @@ def backward_induction(mu, cm: CostModel):
     Returns ``(values, policies)`` with shapes (N+1, M) and (N, M, M).
     """
     mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
-    return _backward_induction_core(cm.cost(mu), cm.inertia_matrix, cm.theta)
+    return _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
 
 
 # ---------------------------------------------------------------------------

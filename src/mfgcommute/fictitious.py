@@ -169,7 +169,7 @@ def exploitability(pi, mu, cm: CostModel, mu0) -> float:
     if dist_distance(forward_propagate(pi, mu0), mu) > 1e-8:
         raise InvalidInputError("mean field is not the flow induced by the policy")
     f_table = cm.cost(mu)
-    br_values, _ = _backward_induction_core(f_table, cm.inertia_matrix, cm.theta)
+    br_values, _ = _backward_induction_core(f_table, cm.kernel, cm.theta)
     return _gap(pi, f_table, br_values, cm, mu0)
 
 
@@ -200,7 +200,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     # the final gap.
     for j in range(1, cfg.max_iters + 2):
         f_table = cm.cost(avg_mf)
-        br_values, br_policy = _backward_induction_core(f_table, d, cm.theta)
+        br_values, br_policy = _backward_induction_core(f_table, cm.kernel, cm.theta)
         if j > 1:
             k = j - 1
             held = (

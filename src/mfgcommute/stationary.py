@@ -82,7 +82,7 @@ def _relative_values(cm, mu, v_start):
     eye = np.eye(cm.M)
     least_lam = least_move = math.inf
     for _ in range(100):  # only a rounding cycle reaches this cap
-        _, pi = _bellman_core(f, d, v, cm.theta)
+        _, pi = _bellman_core(f, cm.kernel, v, cm.theta)
         c = f + (pi * d).sum(axis=1) + xlogy(pi, pi).sum(axis=1) / cm.theta
         a = eye - pi
         a[:, 0] = 1.0
@@ -94,7 +94,7 @@ def _relative_values(cm, mu, v_start):
         if move == 0.0 or (move >= least_move and lam >= least_lam):
             break
         least_move, least_lam = min(move, least_move), min(lam, least_lam)
-    backed, pi = _bellman_core(f, d, v, cm.theta)
+    backed, pi = _bellman_core(f, cm.kernel, v, cm.theta)
     return v, lam, pi, backed
 
 

@@ -24,6 +24,26 @@ def brute_forward_step(pi, mu):
     return np.array([o / total for o in out])
 
 
+def brute_soft_backup(f, d, v, theta):
+    """Per-row max-shifted log-sum-exp Bellman backup, one scalar at a time.
+
+    V(s) = f(s) - (1/theta) ln sum_x exp(-theta (d(s,x) + v(x))), and row s
+    of the policy is proportional to exp(-theta (d(s,x) + v(x))).  Returns
+    (values, policy).
+    """
+    m = len(v)
+    values = [0.0] * m
+    policy = [[0.0] * m for _ in range(m)]
+    for s in range(m):
+        scores = [-theta * (float(d[s][x]) + float(v[x])) for x in range(m)]
+        top = max(scores)
+        weights = [math.exp(sc - top) for sc in scores]
+        total = math.fsum(weights)
+        values[s] = float(f[s]) - (top + math.log(total)) / theta
+        policy[s] = [w / total for w in weights]
+    return np.array(values), np.array(policy)
+
+
 def brute_seq_distance(a, b):
     """Exhaustive max over all (day, state) pairs."""
     best = 0.0

@@ -273,6 +273,19 @@ def test_validate_rejects_non_numeric_scenario_field(tmp_path, repo_root, capsys
     assert "scenario_file" in capsys.readouterr().out
 
 
+def test_validate_rejects_theta_past_the_kernel_limit(tmp_path, repo_root, capsys):
+    # theta * epsilon = 701 > 700: exp(-theta d) would leave the normal floats.
+    cfg = route_config(repo_root, tmp_path / "out", theta=701.0, epsilon=1.0)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "config field 'theta'" in out and "701.0 * 1.0" in out
+
+    cfg = route_config(repo_root, tmp_path / "out", theta=700.0, epsilon=1.0)
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", str(path)]) == 0
+
+
 def bottleneck_config(repo_root, out_dir, **overrides):
     cfg = {
         "scenario": "bottleneck",

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
 from mfgcommute.core import (
+    KERNEL_LIMIT,
     CostModel,
     InvalidInputError,
+    KernelLimitError,
     NumericError,
     _forward_step_core,
     backward_induction,
@@ -22,9 +25,11 @@ from mfgcommute.core import (
     uniform_distribution,
     uniform_policy_seq,
 )
+from mfgcommute.route import RouteInertiaSpec, route_cost_model
 from conftest import make_table_cost_model
 from oracles import (
     brute_forward_step,
+    brute_soft_backup,
     brute_policy_distance,
     brute_seq_distance,
     occupancy_total_cost,
@@ -141,6 +146,20 @@ def test_cost_model_validation():
     assert ok.M == 2
 
 
+def test_cost_model_kernel_limit():
+    def zero_cost(mu):
+        return np.zeros_like(mu)
+
+    d = 2.0 * (1.0 - np.eye(2))
+    at_limit = CostModel(cost=zero_cost, inertia_matrix=d, theta=KERNEL_LIMIT / 2.0,
+                         bound_C=2.0)
+    assert np.array_equal(at_limit.kernel, np.exp(-at_limit.theta * d))
+    assert np.all(at_limit.kernel > np.finfo(float).tiny)
+    above = np.nextafter(KERNEL_LIMIT, math.inf) / 2.0
+    with pytest.raises(KernelLimitError, match=r"= 700\.0000000000001 exceeds the kernel limit 700$"):
+        CostModel(cost=zero_cost, inertia_matrix=d, theta=above, bound_C=2.0)
+
+
 def test_cost_model_determinism_bit_for_bit():
     rng = np.random.default_rng(2)
     cm = random_cost_model(rng, 4)
@@ -179,7 +198,8 @@ def test_bellman_translation_invariance():
 
 
 def test_bellman_no_overflow_at_large_scores():
-    # theta * (cost range) around 700 must stay finite under max-shifting.
+    # theta * (value range) = 700 must stay finite and positive under the
+    # min-V shift: the far option's weight exp(-700) is still a normal float.
     cm = make_table_cost_model([0.0, 0.0], np.zeros((2, 2)), theta=700.0)
     v, pi = bellman_apply(np.array([0.0, 1.0]), uniform_distribution(2), cm)
     assert np.all(np.isfinite(v))
@@ -202,6 +222,61 @@ def test_bellman_policy_strictly_positive():
         cm = random_cost_model(rng, 4, theta=rng.uniform(0.5, 5.0))
         v, pi = bellman_apply(rng.random(4) * 3, random_distribution(rng, 4), cm)
         assert np.all(pi > 0.0)
+
+
+def oracle_models(grid9, repo_root):
+    """Cost models the backup is checked on against the brute-force oracle."""
+    rng = np.random.default_rng(16)
+    models = [random_cost_model(rng, m, theta=float(rng.uniform(0.3, 5.0)))
+              for m in (2, 3, 5, 8)]
+    models.append(route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0)))
+    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
+    models.append(bottleneck_cost_model(spec, 20.0))
+    models.append(at_kernel_limit())
+    return models
+
+
+def at_kernel_limit():
+    return make_table_cost_model([0.0, 0.3], 1.0 - np.eye(2), theta=KERNEL_LIMIT)
+
+
+def assert_matches_oracle(value, policy, f, cm, v_next):
+    want_value, want_policy = brute_soft_backup(f, cm.inertia_matrix, v_next, cm.theta)
+    assert np.all(np.abs(value - want_value) <= 1e-12 * np.maximum(1.0, np.abs(want_value)))
+    assert np.max(np.abs(policy - want_policy)) <= 1e-12
+
+
+def test_bellman_matches_brute_soft_backup(grid9, repo_root):
+    rng = np.random.default_rng(17)
+    for cm in oracle_models(grid9, repo_root):
+        mu = random_distribution(rng, cm.M)
+        f = cm.cost(mu)
+        # Value spreads from flat to far past the kernel's shift range.
+        for scale in (0.0, 1.0, 50.0):
+            v_next = rng.random(cm.M) * scale
+            value, policy = bellman_apply(v_next, mu, cm)
+            assert_matches_oracle(value, policy, f, cm, v_next)
+    # The corner of the limit: both options of row 0 score theta * 1 = 700,
+    # so its normalizer is 2 exp(-700).
+    cm = at_kernel_limit()
+    value, policy = bellman_apply(np.array([1.0, 0.0]), uniform_distribution(2), cm)
+    assert np.allclose(policy[0], 0.5, rtol=0.0, atol=1e-15)
+    assert_matches_oracle(value, policy, cm.cost(uniform_distribution(2)), cm,
+                          np.array([1.0, 0.0]))
+
+
+def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root):
+    rng = np.random.default_rng(18)
+    for cm in oracle_models(grid9, repo_root):
+        mu = np.stack([random_distribution(rng, cm.M) for _ in range(12)])
+        values, policies = backward_induction(mu, cm)
+        f_table = cm.cost(mu)
+        for n in range(len(mu)):
+            assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
+            # One backup formula: day n of the sweep is bellman_apply, bit for bit.
+            value, policy = bellman_apply(values[n + 1], mu[n], cm)
+            assert np.array_equal(values[n], value)
+            assert np.array_equal(policies[n], policy)
 
 
 # ---------------------------------------------------------------------------
