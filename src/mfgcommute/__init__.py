@@ -12,7 +12,6 @@ from .core import (
     forward_propagate,
     forward_step,
     policy_evaluate,
-    total_cost,
     uniform_distribution,
     uniform_policy_seq,
 )
@@ -21,14 +20,12 @@ from .fictitious import (
     SolverReport,
     exploitability,
     fictitious_play,
-    fp_average_mf,
     fp_average_policy,
 )
 from .stationary import (
     StationaryPair,
     augmented_cost_profile,
     omega_bound_check,
-    sdsue_check,
     smfe_residuals,
     solve_smfe,
     value_gap_check,

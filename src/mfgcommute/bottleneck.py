@@ -134,6 +134,8 @@ def load_spec(path) -> BottleneckSpec:
     """Read a scenario file: {M, L, capacity, demand, alpha, beta, gamma, r, epsilon}."""
     try:
         raw = json.loads(Path(path).read_text())
+        if not isinstance(raw, dict):
+            raise ValueError("the top level must be a JSON object")
         # A file asking for another mapping must not load as left edges.
         if raw.get("slice_mapping", "left") != "left":
             raise ValueError("a slice maps to its left edge; slice_mapping must be 'left'")

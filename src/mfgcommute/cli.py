@@ -182,6 +182,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config", f"{path} must hold a JSON object")
     return config_from_dict(raw, path.resolve().parent)
 
 
@@ -322,9 +324,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         {
             "converged": report.converged,
             "iterations_run": report.iterations_run,
-            "final_exploitability": (
-                report.exploitability_trace[-1] if report.exploitability_trace else None
-            ),
+            "final_exploitability": report.exploitability_trace[-1],
             "consistency_residual": dist_distance(
                 forward_propagate(report.avg_policy, mu0), report.avg_mf
             ),

@@ -44,7 +44,6 @@ __all__ = [
     "forward_step",
     "forward_propagate",
     "policy_evaluate",
-    "total_cost",
     "concavity_check",
 ]
 
@@ -321,25 +320,19 @@ def policy_evaluate(pi, mu, cm: CostModel) -> np.ndarray:
     return _policy_evaluate_core(pi, cm.cost(mu), cm.inertia_matrix, cm.theta)
 
 
-def total_cost(pi, mu, cm: CostModel, mu0) -> float:
-    """Expected horizon cost sum_s mu0(s) V_0(s) of policy ``pi`` against ``mu``."""
-    mu0 = check_stochastic(mu0, "initial distribution", (cm.M,))
-    values = policy_evaluate(pi, mu, cm)
-    return float(np.sum(mu0 * values[0]))
-
-
 # ---------------------------------------------------------------------------
 # structural checks
 
 
-def concavity_check(v, v_alt, mu, cm: CostModel, slack: float = 1e-9) -> bool:
+def concavity_check(v, v_alt, mu, cm: CostModel) -> bool:
     """Concavity of the Bellman backup in the value argument.
 
     With ``pi`` optimal for ``v``, checks (i) per state,
     G v_alt(s) <= G v(s) + sum_x pi(x|s) (v_alt(x) - v(x)), and (ii) the
     mu-weighted aggregate sum_s mu(s)(G v_alt - G v)(s)
-    <= sum_s (v_alt - v)(s) (K_pi mu)(s), both within ``slack``.
+    <= sum_s (v_alt - v)(s) (K_pi mu)(s), both within a slack of 1e-9.
     """
+    slack = 1e-9
     g_v, pi = bellman_apply(v, mu, cm)
     g_alt, _ = bellman_apply(v_alt, mu, cm)
     v = np.asarray(v, dtype=float)

@@ -47,7 +47,6 @@ from .core import (
 __all__ = [
     "FPConfig",
     "SolverReport",
-    "fp_average_mf",
     "fp_average_policy",
     "exploitability",
     "fictitious_play",
@@ -96,21 +95,6 @@ class SolverReport:
     converged: bool = False
 
 
-def fp_average_mf(prev_avg, new_mf, j: int) -> np.ndarray:
-    """Fold iterate ``j``'s induced flow into the running average.
-
-    avg <- ((j-1)/j) prev + (1/j) new; at j = 1 the previous average drops
-    out entirely.
-    """
-    prev_avg = np.asarray(prev_avg, dtype=float)
-    new_mf = np.asarray(new_mf, dtype=float)
-    if j < 1:
-        raise InvalidInputError("iteration index must be >= 1")
-    if prev_avg.shape != new_mf.shape:
-        raise InvalidInputError("averaged sequences must have equal shapes")
-    return ((j - 1) / j) * prev_avg + (1.0 / j) * new_mf
-
-
 def _accumulate(num, den, mf, pol):
     # Fold one iterate into the occupancy-weighted sums, in place.
     num += mf[:, :, None] * pol
@@ -133,7 +117,8 @@ def fp_average_policy(history, j: int) -> np.ndarray:
 
     Weighting each iterate's policy rows by that iterate's state occupancy
     makes the average policy induce the average flow from the shared
-    initial distribution.
+    initial distribution.  The rescan reference for the running sums that
+    ``fictitious_play`` folds one iterate at a time; the loop never calls it.
     """
     if j < 1 or len(history) < j:
         raise InvalidInputError("need at least j recorded iterations, j >= 1")
@@ -218,7 +203,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
             if converged or j > cfg.max_iters:
                 break
         induced = _forward_propagate_core(br_policy, cfg.mu0)
-        avg_mf = fp_average_mf(avg_mf, induced, j)
+        avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * induced
         _accumulate(num, den, induced, br_policy)
 
     logger.info(

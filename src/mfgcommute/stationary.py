@@ -10,10 +10,10 @@ since the pair only pins values up to an additive constant.
 
 The diagnostics connect the stationary pair to classical within-day
 equilibrium notions: the logit equilibrium (the stationary distribution
-without inertia, solved directly by one root solve), the
-switching-invariance residual, the value/travel-cost gap bracket under flat
-switching penalties, the population lower bound, and the flatness of the
-entropy-augmented cost profile.
+without inertia, solved directly by one root solve), the value/travel-cost
+gap bracket under flat switching penalties, the population lower bound, and
+the flatness of the entropy-augmented cost profile.  Switching invariance,
+K_pi mu = mu, is the residual r2 of ``smfe_residuals``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "solve_smfe",
     "logit_sue",
     "smfe_residuals",
-    "sdsue_check",
     "value_gap_check",
     "omega_bound",
     "omega_bound_check",
@@ -183,7 +182,7 @@ def solve_smfe(
     fallback_used = not fallback
     for outer in range(max_outer):
         v, lam, pi, backed = _relative_values(cm, mu, v)
-        r1, r2 = _pair_residuals(backed, v, lam, pi, mu)
+        r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
         if r1 <= tol and r2 <= tol:
             logger.info("stationary solve converged after %d rounds", outer + 1)
             return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
@@ -204,7 +203,8 @@ def solve_smfe(
     )
 
 
-def _fallback_seed(cm, horizon=200):
+def _fallback_seed(cm):
+    horizon = 200
     report = fictitious_play(
         cm,
         FPConfig(
@@ -257,24 +257,13 @@ def smfe_residuals(p: StationaryPair, cm: CostModel):
     """
     backed, _ = bellman_apply(p.V_bar, p.mu_bar, cm)
     mu = np.asarray(p.mu_bar, dtype=float)  # validated by bellman_apply
-    pi = check_stochastic(p.pi_bar, "policy", (cm.M, cm.M))
-    return _pair_residuals(backed, p.V_bar, p.lambda_bar, pi, mu)
+    return _pair_residuals(backed, p.V_bar, p.lambda_bar, forward_step(p.pi_bar, mu), mu)
 
 
-def _pair_residuals(backed, v, lam, pi, mu):
-    """(r1, r2) of a pair from its backup ``backed`` = G V; inputs unchecked."""
+def _pair_residuals(backed, v, lam, pushed, mu):
+    """(r1, r2) of a pair from G V = ``backed`` and K_pi mu = ``pushed``; unchecked."""
     r1 = float(np.max(np.abs(backed - v - lam)))
-    return r1, dist_distance(_forward_step_core(pi, mu), mu)
-
-
-def sdsue_check(mu, pi) -> float:
-    """Switching-invariance residual max_k |mu(k) - sum_j mu(j) pi(k|j)|.
-
-    Zero exactly when ``mu`` is a fixed point of the switching-choice model
-    with policy ``pi``; identical to the distribution residual of a
-    stationary pair.
-    """
-    return dist_distance(forward_step(pi, mu), mu)
+    return r1, dist_distance(pushed, mu)
 
 
 def _indicator_epsilon(cm: CostModel) -> float:
@@ -289,13 +278,14 @@ def _indicator_epsilon(cm: CostModel) -> float:
     return float(off[0])
 
 
-def value_gap_check(p: StationaryPair, cm: CostModel, slack: float = 1e-9) -> bool:
+def value_gap_check(p: StationaryPair, cm: CostModel) -> bool:
     """Bracket of value gaps by travel-cost gaps under flat switching penalty.
 
     For every ordered pair with V(x) > V(y):
-    V(x)-V(y) > f(x,mu)-f(y,mu) > V(x)-V(y) - epsilon, within ``slack``.
-    Only defined for indicator inertia d = epsilon * 1{s != s'}.
+    V(x)-V(y) > f(x,mu)-f(y,mu) > V(x)-V(y) - epsilon, within a slack of
+    1e-9.  Only defined for indicator inertia d = epsilon * 1{s != s'}.
     """
+    slack = 1e-9
     eps = _indicator_epsilon(cm)
     f = cm.cost(p.mu_bar)
     v_gap = p.V_bar[:, None] - p.V_bar[None, :]  # [x, y] = V(x) - V(y)

@@ -343,6 +343,28 @@ def assert_scenario_field_rejected(tmp_path, repo_root, capsys, scenario, file, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, top", [
+    ("config", 5),
+    ("config", None),
+    ("config", "scenario"),
+    ("scenario_file", []),
+    ("scenario_file", None),
+], ids=["config-5", "config-null", "config-string", "scenario-list", "scenario-null"])
+def test_validate_rejects_a_file_that_is_not_an_object(tmp_path, repo_root, capsys,
+                                                        field, top):
+    if field == "config":
+        path = write_config(tmp_path, top)
+    else:
+        scenario_path = tmp_path / "spec.json"
+        scenario_path.write_text(json.dumps(top))
+        path = write_config(tmp_path, bottleneck_config(repo_root, tmp_path / "out",
+                                                        scenario_file=str(scenario_path)))
+    assert main(["validate", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"config field '{field}'" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_bottleneck_run(tmp_path, repo_root):
     out = tmp_path / "out"
     cfg = config_from_dict(bottleneck_config(repo_root, out), tmp_path)

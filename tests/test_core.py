@@ -21,7 +21,6 @@ from mfgcommute.core import (
     forward_propagate,
     forward_step,
     policy_evaluate,
-    total_cost,
     uniform_distribution,
     uniform_policy_seq,
 )
@@ -375,8 +374,6 @@ def test_operators_reject_shapes_that_do_not_match_the_model():
     with pytest.raises(InvalidInputError):
         policy_evaluate(uniform_policy_seq(5, 2), mu, cm)
     with pytest.raises(InvalidInputError):
-        total_cost(uniform_policy_seq(4, 2), mu, cm, uniform_distribution(3))
-    with pytest.raises(InvalidInputError):
         forward_propagate(np.full((4, 2, 3), 1.0 / 3.0), uniform_distribution(2))
     with pytest.raises(InvalidInputError):
         forward_propagate(uniform_policy_seq(4, 3), uniform_distribution(2))
@@ -423,7 +420,7 @@ def test_total_cost_uniform_single_day_entropy():
     cm = make_table_cost_model(np.zeros(m), np.zeros((m, m)), theta=theta)
     pi = uniform_policy_seq(1, m)
     mu = np.stack([uniform_distribution(m)])
-    got = total_cost(pi, mu, cm, uniform_distribution(m))
+    got = float(np.sum(uniform_distribution(m) * policy_evaluate(pi, mu, cm)[0]))
     assert got == pytest.approx(-math.log(m) / theta, abs=1e-14)
 
 
@@ -433,7 +430,7 @@ def test_total_cost_matches_occupancy_oracle():
     pi = np.stack([random_policy(rng, 4) for _ in range(5)])
     mu0 = random_distribution(rng, 4)
     mu = forward_propagate(pi, mu0)
-    ours = total_cost(pi, mu, cm, mu0)
+    ours = float(np.sum(mu0 * policy_evaluate(pi, mu, cm)[0]))
     theirs = occupancy_total_cost(pi, mu, cm, mu0)
     assert ours == pytest.approx(theirs, abs=1e-10)
 
@@ -444,13 +441,13 @@ def test_optimal_policy_beats_perturbations():
     mu0 = random_distribution(rng, 4)
     mu = forward_propagate(uniform_policy_seq(6, 4), mu0)
     values, best = backward_induction(mu, cm)
-    j_best = total_cost(best, mu, cm, mu0)
+    j_best = float(np.sum(mu0 * policy_evaluate(best, mu, cm)[0]))
     assert j_best == pytest.approx(float(np.sum(mu0 * values[0])), abs=1e-12)
     for _ in range(100):
         noise = rng.random(best.shape) * 0.2
         perturbed = best + noise
         perturbed /= perturbed.sum(axis=2, keepdims=True)
-        assert j_best <= total_cost(perturbed, mu, cm, mu0) + 1e-9
+        assert j_best <= float(np.sum(mu0 * policy_evaluate(perturbed, mu, cm)[0])) + 1e-9
 
 
 # ---------------------------------------------------------------------------

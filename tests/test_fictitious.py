@@ -15,7 +15,6 @@ from mfgcommute.fictitious import (
     FPConfig,
     exploitability,
     fictitious_play,
-    fp_average_mf,
     fp_average_policy,
 )
 from conftest import make_table_cost_model
@@ -23,32 +22,6 @@ from conftest import make_table_cost_model
 # Exploitability of the all-uniform policy pair on the epsilon=theta=1 route
 # scenario, frozen from a converged evaluation of the two cost totals.
 UNIFORM_ROUTE_EXPLOITABILITY = 391.1579046028901
-
-
-def test_fp_average_mf_first_iterate_replaces():
-    rng = np.random.default_rng(0)
-    prev = rng.dirichlet(np.ones(4), size=5)
-    new = rng.dirichlet(np.ones(4), size=5)
-    assert np.array_equal(fp_average_mf(prev, new, 1), new)
-
-
-def test_fp_average_mf_hand_midpoint():
-    prev = np.array([[1.0, 0.0]])
-    new = np.array([[0.0, 1.0]])
-    assert np.allclose(fp_average_mf(prev, new, 2), [[0.5, 0.5]], atol=1e-15)
-
-
-def test_fp_average_mf_fixed_point_and_errors():
-    rng = np.random.default_rng(1)
-    q = rng.dirichlet(np.ones(3), size=4)
-    avg = q.copy()
-    for j in range(1, 30):
-        avg = fp_average_mf(avg, q, j)
-    assert np.max(np.abs(avg - q)) < 1e-13
-    with pytest.raises(InvalidInputError):
-        fp_average_mf(q, q, 0)
-    with pytest.raises(InvalidInputError):
-        fp_average_mf(q, q[:2], 3)
 
 
 def test_fp_average_policy_single_iterate():
@@ -188,24 +161,31 @@ def test_fictitious_play_deterministic(route_cm_e1t1, grid9_mu0):
 
 def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
     # The solver's running averages must agree with recomputing the
-    # occupancy-weighted formula from the stored iterates.
+    # occupancy-weighted formula from the stored iterates, and the first
+    # iterate's flow must replace the start outright.
     from mfgcommute.core import backward_induction
 
     n, m = 30, 6
-    avg_mf = forward_propagate(uniform_policy_seq(n, m), grid9_mu0)
+    start = forward_propagate(uniform_policy_seq(n, m), grid9_mu0)
+    avg_mf = start
     history = []
     for j in range(1, 9):
         _, pol = backward_induction(avg_mf, route_cm_e1t1)
         mf = forward_propagate(pol, grid9_mu0)
         history.append((mf, pol))
-        avg_mf = fp_average_mf(avg_mf, mf, j)
+        avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * mf
     rescan = fp_average_policy(history, 8)
-    report = fictitious_play(
-        route_cm_e1t1,
-        FPConfig(mu0=grid9_mu0, horizon=n, max_iters=8, exploitability_tol=1e-12),
-    )
+
+    def run(iters):
+        cfg = FPConfig(mu0=grid9_mu0, horizon=n, max_iters=iters, exploitability_tol=1e-12)
+        return fictitious_play(route_cm_e1t1, cfg)
+
+    report = run(8)
     assert np.array_equal(report.avg_policy, rescan)
     assert np.array_equal(report.avg_mf, avg_mf)
+    first_flow = history[0][0]
+    assert not np.array_equal(first_flow, start)
+    assert np.array_equal(run(1).avg_mf, first_flow)
 
 
 @pytest.mark.parametrize("case", ["route_e1t1", "table_with_empty_rows"])

@@ -30,7 +30,6 @@ from mfgcommute.stationary import (
     logit_sue,
     omega_bound,
     omega_bound_check,
-    sdsue_check,
     smfe_residuals,
     solve_smfe,
     value_gap_check,
@@ -223,12 +222,13 @@ def test_sue_pair_construction_is_stationary(route_cm_e0t1, grid9):
     assert r1 <= 1e-7 and r2 <= 1e-7
 
 
-def test_sdsue_diagnostics(pair_e1t1):
-    assert sdsue_check(pair_e1t1.mu_bar, pair_e1t1.pi_bar) <= 1e-8
+def test_sdsue_diagnostics(pair_e1t1, route_cm_e1t1):
+    # Switching invariance K_pi mu = mu is the stationary residual r2.
+    assert smfe_residuals(pair_e1t1, route_cm_e1t1)[1] <= 1e-8
     mu = np.array([0.5, 0.3, 0.2])
-    assert sdsue_check(mu, np.eye(3)) == 0.0
+    assert dist_distance(forward_step(np.eye(3), mu), mu) == 0.0
     uniform_pol = np.full((3, 3), 1.0 / 3.0)
-    assert sdsue_check(mu, uniform_pol) == pytest.approx(
+    assert dist_distance(forward_step(uniform_pol, mu), mu) == pytest.approx(
         dist_distance(mu, uniform_distribution(3)), abs=1e-12
     )
 
