@@ -1,0 +1,88 @@
+"""Fingerprint the solvers' outputs, to show that a change keeps them bit for bit.
+
+Prints a JSON object that maps each case name to the sha256 of the case's
+arrays and scalars (dtype, shape and raw bytes of each).  The cases:
+
+- ``fp/<config>``: fictitious play at 300 iterations on each shipped config
+  (``avg_mf``, ``avg_policy``, ``value_seq``, the exploitability trace and
+  the iteration count);
+- ``smfe/<config>``: ``solve_smfe`` at its defaults on route_e1t1 and
+  route_e0t1 (the returned pair);
+- ``cap30/<config>``: a 30-round ``fallback=False`` solve on each shipped
+  config (the pair, or the failure payload when the cap is reached);
+- ``damped/bottleneck_e1t20``: a 20-round solve at ``damping=2**-9``.
+
+The package is imported from whichever ``src/`` comes first on
+``PYTHONPATH``; the configs and scenarios are this checkout's.  Compare the
+output of two trees on one machine, with the same BLAS settings, e.g.
+
+    PYTHONPATH=src python scripts/fingerprint.py > new.json
+    PYTHONPATH=/path/to/other/src python scripts/fingerprint.py > old.json
+    diff old.json new.json
+
+The hashes depend on the machine, numpy and BLAS, so they are only ever
+compared between two trees run side by side, never against stored values.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
+from mfgcommute.core import SolverFailure
+from mfgcommute.fictitious import FPConfig, fictitious_play
+from mfgcommute.stationary import solve_smfe
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+NAMES = ("route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottleneck_e0t20")
+
+
+def digest(*values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        a = np.ascontiguousarray(value)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def fp_case(cfg, cm):
+    fp = FPConfig(_resolve_mu0(cfg, cm.M), horizon=cfg.horizon, max_iters=300,
+                  exploitability_tol=cfg.exploitability_tol)
+    r = fictitious_play(cm, fp)
+    return digest(r.avg_mf, r.avg_policy, r.value_seq, r.exploitability_trace,
+                  r.iterations_run)
+
+
+def smfe_case(cm, **budget):
+    try:
+        p = solve_smfe(cm, **budget)
+    except SolverFailure as exc:
+        p = exc.payload
+        return digest(p["V_bar"], p["mu_bar"], p["lambda_bar"], p["r1"], p["r2"])
+    return digest(p.V_bar, p.mu_bar, p.lambda_bar, p.pi_bar)
+
+
+def main() -> None:
+    models = {}
+    for name in NAMES:
+        cfg = load_config(CONFIGS / f"{name}.json")
+        models[name] = cfg, build_scenario(cfg)[0]
+    hashes = {}
+    for name, (cfg, cm) in models.items():
+        hashes[f"fp/{name}"] = fp_case(cfg, cm)
+    for name in ("route_e1t1", "route_e0t1"):
+        hashes[f"smfe/{name}"] = smfe_case(models[name][1])
+    for name, (_, cm) in models.items():
+        hashes[f"cap30/{name}"] = smfe_case(cm, max_outer=30, fallback=False)
+    hashes["damped/bottleneck_e1t20"] = smfe_case(
+        models["bottleneck_e1t20"][1], damping=2.0**-9, max_outer=20, fallback=False)
+    print(json.dumps(hashes, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -72,10 +72,14 @@ class ExperimentConfig:
     policy_days: list[int] | None
     base_dir: Path
 
+    # A relative path resolves against the config file's directory.
     @property
     def scenario_path(self) -> Path:
-        p = Path(self.scenario_file)
-        return p if p.is_absolute() else self.base_dir / p
+        return self.base_dir / self.scenario_file
+
+    @property
+    def output_path(self) -> Path:
+        return self.base_dir / self.outputs
 
     def to_dict(self) -> dict:
         return {
@@ -107,6 +111,12 @@ def _as_number(value, name, kind=float):
         return _json_number(value, kind)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(name, str(exc)) from None
+
+
+def _as_path(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(name, f"must be a path string, got {value!r}")
+    return value
 
 
 def _policy_days(days, horizon: int) -> list[int]:
@@ -160,7 +170,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         policy_days = _policy_days(policy_days, horizon)
     return ExperimentConfig(
         scenario=scenario,
-        scenario_file=str(_require(raw, "scenario_file")),
+        scenario_file=_as_path(_require(raw, "scenario_file"), "scenario_file"),
         horizon=horizon,
         theta=theta,
         epsilon=epsilon,
@@ -168,7 +178,7 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
         mu0=mu0,
         max_iters=max_iters,
         exploitability_tol=tol,
-        outputs=str(raw.get("outputs", "out")),
+        outputs=_as_path(raw.get("outputs", "out"), "outputs"),
         policy_days=policy_days,
         base_dir=base_dir,
     )
@@ -254,8 +264,11 @@ def _solve_fp(cfg: ExperimentConfig, out_dir):
     """Shared start of ``run`` and ``smfe``: scenario, output directory, FP solve."""
     cm, scen = build_scenario(cfg)
     mu0 = _resolve_mu0(cfg, cm.M)
-    out = Path(out_dir) if out_dir is not None else Path(cfg.outputs)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir) if out_dir is not None else cfg.output_path
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("outputs", f"cannot create {out}: {exc.strerror}") from exc
     report = fictitious_play(
         cm,
         FPConfig(

@@ -110,42 +110,6 @@ def _stationary_distribution(pi):
     return nu / math.fsum(nu)
 
 
-class DampedStep:
-    """Step controller of the damped update mu <- (1-a) mu + a target.
-
-    A fixed step can lock into a two-cycle when theta times the cost spread
-    is stiff, so the step is halved (and the halved value becomes the cap)
-    after 50 rounds without a new best residual, down to 2**-20, and doubled
-    back toward the cap after 50 rounds of improvement.  Deterministic.
-    """
-
-    def __init__(self, step: float):
-        self.step = step
-        self.ceiling = step
-        self.best = math.inf
-        self.stall = 0
-        self.grow = 0
-
-    def move(self, mu, target, residual: float) -> np.ndarray:
-        """Adapt the step to ``residual``, then damp ``mu`` toward ``target``."""
-        if residual < self.best:
-            self.best = residual
-            self.stall = 0
-            self.grow += 1
-            if self.grow >= 50:
-                self.step = min(2.0 * self.step, self.ceiling)
-                self.grow = 0
-        else:
-            self.stall += 1
-            self.grow = 0
-            if self.stall >= 50 and self.step > 2.0**-20:
-                self.step *= 0.5
-                self.ceiling = self.step
-                self.stall = 0
-        mu = (1.0 - self.step) * mu + self.step * target
-        return mu / math.fsum(mu)
-
-
 def solve_smfe(
     cm: CostModel,
     init=None,
@@ -158,28 +122,36 @@ def solve_smfe(
 
     Each outer round solves the average-cost values exactly at the current
     distribution, then damps the distribution toward the invariant law of
-    the induced policy.  A round prices its pair once: r1 comes from the
-    backup G V that ends the value solve and r2 from one forward step of its
-    policy, the formulas of ``smfe_residuals`` without its input checks and
-    second backup.  If the distribution residual stalls, one long-horizon
-    fictitious play run re-seeds the distribution from the middle of the
-    horizon, where the equilibrium is closest to stationary.  Raises
-    SolverFailure if the cap is exhausted; its payload holds the last pair
-    priced with that pair's r1 and r2.  The step is halved only after 50
-    rounds without a new best residual, so a start near a solution needs a
-    small ``damping``: at 0.5, ``init`` set to route_e1t1's own ``mu_bar``
-    (``tol=1e-10``) goes from r2 = 9.9e-9 to 0.92 in 20 rounds.
+    the induced policy, mu <- (1 - step) mu + step nu.  A round prices its
+    pair once: r1 comes from the backup G V that ends the value solve and r2
+    from one forward step of its policy, the formulas of ``smfe_residuals``
+    without its input checks and second backup.  The step starts at
+    ``damping`` and halves after 50 rounds without a new least r2, down to
+    2**-20: a fixed step can lock into a two-cycle when theta times the cost
+    spread is stiff.  With ``fallback``, the first round from round
+    min(5000, max_outer // 2) on whose r2 exceeds 1e-3 re-seeds, once: one
+    long-horizon fictitious play run supplies the distribution from the
+    middle of its horizon, where the equilibrium is closest to stationary,
+    and the step starts over.  Raises SolverFailure if the cap is exhausted;
+    its payload holds the last pair priced with that pair's r1 and r2.  A
+    start near a solution needs a small ``damping``: at 0.5, ``init`` set to
+    route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9 to
+    0.92 in 20 rounds.  Raises InvalidInputError for ``damping`` outside
+    (0, 1], ``max_outer`` below 1 or ``tol`` that is not positive.
     """
+    if not 0.0 < damping <= 1.0:
+        raise InvalidInputError("damping must be in (0, 1]")
+    if max_outer < 1:
+        raise InvalidInputError("max_outer must be at least 1")
+    if not tol > 0.0:
+        raise InvalidInputError("tol must be positive")
     if init is None:
         mu = uniform_distribution(cm.M)
     else:
         mu = check_stochastic(init, "initial distribution", (cm.M,))
     v = np.zeros(cm.M)
-    lam = 0.0
-    r1 = r2 = math.inf
-    damper = DampedStep(damping)
-    fallback_at = min(5_000, max(max_outer // 2, 1))
-    fallback_used = not fallback
+    step, least_r2, stalled = damping, math.inf, 0
+    reseed_at = min(5_000, max_outer // 2) if fallback else math.inf
     for outer in range(max_outer):
         v, lam, pi, backed = _relative_values(cm, mu, v)
         r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
@@ -188,33 +160,29 @@ def solve_smfe(
             return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
         if outer + 1 == max_outer:
             break  # the failure reports the pair that r1 and r2 measure
-        if outer + 1 >= fallback_at and not fallback_used and r2 > 1e-3:
-            mu = _fallback_seed(cm)
+        if outer + 1 >= reseed_at and r2 > 1e-3:
+            fp = FPConfig(uniform_distribution(cm.M), horizon=200, max_iters=500,
+                          exploitability_tol=1e-9)
+            mu = fictitious_play(cm, fp).avg_mf[100]
             v = np.zeros(cm.M)
-            damper = DampedStep(damping)
-            fallback_used = True
+            step, least_r2, stalled = damping, math.inf, 0
+            reseed_at = math.inf
             logger.info("stationary solve re-seeded from long-horizon run")
             continue
-        mu = damper.move(mu, _stationary_distribution(pi), r2)
+        if r2 < least_r2:
+            least_r2, stalled = r2, 0
+        else:
+            stalled += 1
+            if stalled >= 50 and step > 2.0**-20:
+                step *= 0.5
+                stalled = 0
+        mu = (1.0 - step) * mu + step * _stationary_distribution(pi)
+        mu = mu / math.fsum(mu)
     raise SolverFailure(
         f"stationary solve stopped at residuals r1={r1:.3e}, r2={r2:.3e}",
         residual=max(r1, r2),
         payload={"V_bar": v, "mu_bar": mu, "lambda_bar": lam, "r1": r1, "r2": r2},
     )
-
-
-def _fallback_seed(cm):
-    horizon = 200
-    report = fictitious_play(
-        cm,
-        FPConfig(
-            mu0=uniform_distribution(cm.M),
-            horizon=horizon,
-            max_iters=500,
-            exploitability_tol=1e-9,
-        ),
-    )
-    return report.avg_mf[horizon // 2]
 
 
 def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:

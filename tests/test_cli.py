@@ -97,6 +97,10 @@ def test_config_field_errors(tmp_path, repo_root):
         ("policy_days", {"policy_days": ["1"]}),
         ("theta", {"theta": float("nan")}),
         ("solver.exploitability_tol", {"solver": {"exploitability_tol": float("nan")}}),
+        # A path is a JSON string: null is not a directory named "None".
+        ("outputs", {"outputs": None}),
+        ("outputs", {"outputs": 5}),
+        ("scenario_file", {"scenario_file": ["a"]}),
     ]:
         cfg = route_config(repo_root, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -428,6 +432,34 @@ def test_relative_scenario_path_resolves_against_config(tmp_path, repo_root):
     assert main(["validate", "--config", str(path)]) == 0
 
 
+def test_relative_outputs_resolve_against_config(tmp_path, repo_root, monkeypatch):
+    nested = tmp_path / "configs"
+    nested.mkdir()
+    elsewhere = tmp_path / "a" / "cwd"
+    elsewhere.mkdir(parents=True)
+    monkeypatch.chdir(elsewhere)
+    path = write_config(nested, route_config(
+        repo_root, "../out/exp", horizon=3, solver={"max_iters": 5, "exploitability_tol": 1e-9}))
+    assert main(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "out" / "exp" / "report.json").is_file()
+    assert list((tmp_path / "a").iterdir()) == [elsewhere]
+
+
+@pytest.mark.parametrize("below_a_file", [False, True], ids=["file", "below-file"])
+def test_run_names_outputs_when_the_directory_cannot_be_made(tmp_path, repo_root, capsys,
+                                                            below_a_file):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker / "out" if below_a_file else blocker
+    path = write_config(tmp_path, route_config(
+        repo_root, tmp_path / "unused", horizon=3,
+        solver={"max_iters": 5, "exploitability_tol": 1e-9}))
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "config field 'outputs'" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_shipped_configs_validate(repo_root):
     from mfgcommute.cli import build_scenario, _resolve_mu0
 
@@ -439,6 +471,8 @@ def test_shipped_configs_validate(repo_root):
         cm, _ = build_scenario(cfg)
         mu0 = _resolve_mu0(cfg, cm.M)
         assert mu0.shape == (cm.M,)
+        # run without --out writes inside the checkout, wherever it starts.
+        assert cfg.output_path.resolve().is_relative_to(repo_root.resolve())
 
 
 def test_help_and_module_entry(tmp_path, repo_root):

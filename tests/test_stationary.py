@@ -389,6 +389,15 @@ def test_solve_smfe_rejects_an_init_of_the_wrong_length():
         solve_smfe(two_state_model(), init=uniform_distribution(3))
 
 
+def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
+    # A step outside (0, 1] leaves the simplex or never moves mu, no round
+    # leaves nothing to report, and a NaN tolerance can never be met.
+    for knobs in ({"damping": -0.5}, {"damping": 0.0}, {"max_outer": 0},
+                  {"tol": float("nan")}):
+        with pytest.raises(InvalidInputError):
+            solve_smfe(route_cm_e1t1, **{"max_outer": 5, "fallback": False, **knobs})
+
+
 def test_relative_values_solve_the_average_cost_equation(
         route_cm_e1t1, grid9, bottleneck_cm_e1t20):
     # Policy iteration at a frozen mean field ends at G V = V + lambda up to
