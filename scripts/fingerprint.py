@@ -4,8 +4,12 @@ Prints a JSON object that maps each case name to the sha256 of the case's
 arrays and scalars (dtype, shape and raw bytes of each).  The cases:
 
 - ``fp/<config>``: fictitious play at 300 iterations on each shipped config
-  (``avg_mf``, ``avg_policy``, ``value_seq``, the exploitability trace and
-  the iteration count);
+  (``avg_mf``, ``avg_policy``, ``value_seq``, the iteration count and the
+  last trace entry, the certified gap);
+- ``fp-trace/<config>``: the whole exploitability trace of the same run.
+  Its entries before the last are priced by the occupancy form, not
+  certified, so a change of summation order can move them by rounding
+  while ``fp/<config>`` stays put;
 - ``smfe/<config>``: ``solve_smfe`` at its defaults on route_e1t1 and
   route_e0t1 (the returned pair);
 - ``cap30/<config>``: a 30-round ``fallback=False`` solve on each shipped
@@ -50,12 +54,13 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
-def fp_case(cfg, cm):
+def fp_cases(cfg, cm):
     fp = FPConfig(_resolve_mu0(cfg, cm.M), horizon=cfg.horizon, max_iters=300,
                   exploitability_tol=cfg.exploitability_tol)
     r = fictitious_play(cm, fp)
-    return digest(r.avg_mf, r.avg_policy, r.value_seq, r.exploitability_trace,
-                  r.iterations_run)
+    certified = digest(r.avg_mf, r.avg_policy, r.value_seq, r.iterations_run,
+                       r.exploitability_trace[-1])
+    return certified, digest(r.exploitability_trace)
 
 
 def smfe_case(cm, **budget):
@@ -74,7 +79,7 @@ def main() -> None:
         models[name] = cfg, build_scenario(cfg)[0]
     hashes = {}
     for name, (cfg, cm) in models.items():
-        hashes[f"fp/{name}"] = fp_case(cfg, cm)
+        hashes[f"fp/{name}"], hashes[f"fp-trace/{name}"] = fp_cases(cfg, cm)
     for name in ("route_e1t1", "route_e0t1"):
         hashes[f"smfe/{name}"] = smfe_case(models[name][1])
     for name, (_, cm) in models.items():

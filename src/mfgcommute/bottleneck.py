@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostModel, InvalidInputError
+from .core import CostModel, InvalidInputError, _check_finite
 from .route import _json_number
 
 __all__ = [
@@ -52,6 +52,8 @@ class BottleneckSpec:
     epsilon: float
 
     def __post_init__(self):
+        _check_finite(self, "M", "L", "capacity", "demand", "alpha", "beta", "gamma",
+                      "r", "epsilon")
         if self.M < 1 or self.L <= 0.0 or self.demand <= 0.0:
             raise InvalidInputError("M, L and demand must be positive")
         if self.normalized_capacity <= 0.0:
@@ -60,7 +62,6 @@ class BottleneckSpec:
             raise InvalidInputError("desired arrival must lie in the window")
         if self.epsilon < 0.0:
             raise InvalidInputError("epsilon must be non-negative")
-        # NaN fails this comparison too.
         if not all(c >= 0.0 for c in (self.alpha, self.beta, self.gamma)):
             raise InvalidInputError("alpha, beta and gamma must be non-negative")
         if not self.beta < self.alpha < self.gamma:

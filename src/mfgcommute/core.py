@@ -13,8 +13,9 @@ on option ``s``.  Whole-horizon objects are stacked arrays:
 The stage cost of moving from option ``s`` to ``x`` against mean field ``mu``
 is ``f(s, mu) + d(s, x) + (1/theta) * ln pi(x|s)``: congestion-dependent
 travel cost, switching inertia, and an entropy penalty equivalent to Gumbel
-noise on perceived values.  All operators here are pure functions; arrays are
-never mutated in place, so values can be shared freely across threads.
+noise on perceived values.  All operators here are pure functions: none
+mutates its arguments, so inputs can be shared freely across threads.  Some
+build their results in place, in fresh arrays they own.
 """
 
 from __future__ import annotations
@@ -103,6 +104,15 @@ def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
     if not (np.abs(arr.sum(axis=-1) - 1.0) <= DIST_TOL).all():
         raise InvalidInputError(f"{name} has rows that do not sum to 1")
     return arr
+
+
+def _check_finite(obj, *names) -> None:
+    # Order comparisons let an infinity through, and a NaN through any test
+    # written as a rejection, so a field's range checks come after this one.
+    for name in names:
+        value = getattr(obj, name)
+        if not np.all(np.isfinite(value)):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 def uniform_distribution(m: int) -> np.ndarray:
@@ -203,7 +213,9 @@ def _bellman_core(f, kernel, v_next, theta):
     # V(s) = f(s) - (1/theta) ln sum_x exp(-theta (d(s,x)+V(x))) with the
     # softmax policy as by-product.
     soft, u, z = _soft_backup(kernel, v_next, theta)
-    return f + soft, kernel * u / z[:, None]
+    p = kernel * u
+    p /= z[:, None]
+    return f + soft, p
 
 
 def bellman_apply(v_next, mu, cm: CostModel):
@@ -224,7 +236,8 @@ def bellman_apply(v_next, mu, cm: CostModel):
 
 def _backward_induction_core(f_table, kernel, theta):
     # The day loop touches only vectors; the policies of all days are formed
-    # afterwards in one broadcast, in _bellman_core's elementwise order.
+    # afterwards in one broadcast, in _bellman_core's elementwise order and,
+    # as there, in place, without a second (N, M, M) temporary.
     n_days, m = f_table.shape
     values = np.zeros((n_days + 1, m))
     u = np.empty((n_days, m))
@@ -232,7 +245,9 @@ def _backward_induction_core(f_table, kernel, theta):
     for n in range(n_days - 1, -1, -1):
         soft, u[n], z[n] = _soft_backup(kernel, values[n + 1], theta)
         values[n] = f_table[n] + soft
-    return values, kernel * u[:, None, :] / z[:, :, None]
+    policies = kernel * u[:, None, :]
+    policies /= z[:, :, None]
+    return values, policies
 
 
 def backward_induction(mu, cm: CostModel):
@@ -250,9 +265,10 @@ def backward_induction(mu, cm: CostModel):
 
 
 def _forward_step_core(pi, mu):
-    # Row-by-row accumulation: bit-identical to the naive double loop.
+    # Row-by-row accumulation: bit-identical to the naive double loop.  The
+    # exact sum runs over a list: fsum iterates it faster than an array.
     out = (mu[:, None] * pi).sum(axis=0)
-    total = math.fsum(out)
+    total = math.fsum(out.tolist())
     if abs(total - 1.0) > RENORM_TOL:
         raise NumericError(
             f"mass drift {abs(total - 1.0):.3e} exceeds {RENORM_TOL:.0e}"

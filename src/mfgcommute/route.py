@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostModel, InvalidInputError
+from .core import CostModel, InvalidInputError, _check_finite
 
 __all__ = [
     "RoadNetwork",
@@ -53,13 +53,13 @@ class RoadNetwork:
         n_links = self.capacity.size
         if not self.capacity.shape == self.coef.shape == self.free_flow.shape == (n_links,):
             raise InvalidInputError("capacity, coef and free_flow need one entry per link")
+        _check_finite(self, "capacity", "coef", "free_flow", "demand")
         if not n_links or not self.paths:
             raise InvalidInputError("network needs at least one link and one path")
         if self.demand <= 0.0:
             raise InvalidInputError("demand must be positive")
         if not np.all(self.capacity > 0.0):
             raise InvalidInputError("link capacities must be positive")
-        # NaN fails these comparisons too.
         if not (np.all(self.coef >= 0.0) and np.all(self.free_flow >= 0.0)):
             raise InvalidInputError("BPR coefficients and free-flow times must be non-negative")
         self.incidence = np.zeros((len(self.paths), n_links))
@@ -111,6 +111,7 @@ class RouteInertiaSpec:
     def __post_init__(self):
         if self.kind not in ("indicator", "overlap"):
             raise InvalidInputError(f"unknown inertia kind {self.kind!r}")
+        _check_finite(self, "epsilon")
         if self.epsilon < 0.0:
             raise InvalidInputError("epsilon must be non-negative")
 

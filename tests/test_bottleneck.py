@@ -165,6 +165,14 @@ def test_spec_validation_and_ordering_warning():
                        alpha=10, beta=12, gamma=15, r=2.0, epsilon=1.0)
 
 
+def test_spec_rejects_non_finite_fields_by_name():
+    # load_spec rejects these through _json_number; the dataclass must too.
+    for field in GUO:
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+                BottleneckSpec(**{**GUO, field: value})
+
+
 def test_load_spec_malformed(tmp_path):
     bad = tmp_path / "spec.json"
     bad.write_text('{"M": 40}')

@@ -267,6 +267,7 @@ def test_bellman_matches_brute_soft_backup(grid9, repo_root):
 def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root):
     rng = np.random.default_rng(18)
     for cm in oracle_models(grid9, repo_root):
+        kernel = cm.kernel.copy()
         mu = np.stack([random_distribution(rng, cm.M) for _ in range(12)])
         values, policies = backward_induction(mu, cm)
         f_table = cm.cost(mu)
@@ -276,6 +277,10 @@ def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root
             value, policy = bellman_apply(values[n + 1], mu[n], cm)
             assert np.array_equal(values[n], value)
             assert np.array_equal(policies[n], policy)
+            assert not np.shares_memory(policy, cm.kernel)
+        # Both build their policies in place; never in the shared kernel.
+        assert not np.shares_memory(policies, cm.kernel)
+        assert np.array_equal(cm.kernel, kernel)
 
 
 # ---------------------------------------------------------------------------

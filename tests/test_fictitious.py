@@ -17,6 +17,7 @@ from mfgcommute.fictitious import (
     fictitious_play,
     fp_average_policy,
 )
+from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from conftest import make_table_cost_model
 
 # Exploitability of the all-uniform policy pair on the epsilon=theta=1 route
@@ -174,7 +175,11 @@ def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
         mf = forward_propagate(pol, grid9_mu0)
         history.append((mf, pol))
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * mf
+    snapshot = [(mf.copy(), pol.copy()) for mf, pol in history]
     rescan = fp_average_policy(history, 8)
+    # The rescan reference must not share the loop's in-place fold.
+    for (mf, pol), (mf_was, pol_was) in zip(history, snapshot):
+        assert np.array_equal(mf, mf_was) and np.array_equal(pol, pol_was)
 
     def run(iters):
         cfg = FPConfig(mu0=grid9_mu0, horizon=n, max_iters=iters, exploitability_tol=1e-12)
@@ -188,12 +193,32 @@ def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
     assert np.array_equal(run(1).avg_mf, first_flow)
 
 
-@pytest.mark.parametrize("case", ["route_e1t1", "table_with_empty_rows"])
-def test_trace_matches_exploitability_of_each_prefix(case, route_cm_e1t1, grid9_mu0):
+def test_fictitious_play_leaves_its_inputs_unchanged(route_cm_e1t1, grid9_mu0):
+    # The loop folds each best response into its sums in place; no array of
+    # the caller's may take part in that.
+    cm = route_cm_e1t1
+    start = np.random.default_rng(7).dirichlet(np.ones(cm.M), size=(30, cm.M))
+    cfg = FPConfig(mu0=grid9_mu0, horizon=30, max_iters=5, exploitability_tol=1e-12,
+                   initial_policy=start)
+    inputs = (cfg.mu0, cfg.initial_policy, cm.kernel, cm.inertia_matrix)
+    snapshot = [a.copy() for a in inputs]
+    fictitious_play(cm, cfg)
+    assert all(np.array_equal(a, was) for a, was in zip(inputs, snapshot))
+
+
+@pytest.mark.parametrize("case", ["route_e1t1", "bottleneck_e1t20", "table_with_empty_rows"])
+def test_trace_matches_exploitability_of_each_prefix(
+    case, route_cm_e1t1, grid9_mu0, repo_root
+):
     # Intermediate trace entries come from the occupancy form, the last one
     # from the backward-sweep certificate; both must price the same pair.
+    # The bottleneck's 40 options check the occupancy sums at full size.
     if case == "route_e1t1":
         cm, mu0 = route_cm_e1t1, grid9_mu0
+    elif case == "bottleneck_e1t20":
+        cfg = load_config(repo_root / "configs" / "bottleneck_e1t20.json")
+        cm = build_scenario(cfg)[0]
+        mu0 = _resolve_mu0(cfg, cm.M)
     else:
         # Linear congestion keeps FP from converging in a few iterations; the
         # zero entry of mu0 leaves day-0 occupancy rows empty.

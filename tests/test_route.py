@@ -210,6 +210,21 @@ def test_network_validation():
             RoadNetwork(**{**good, **bad})
 
 
+def test_constructors_reject_non_finite_fields_by_name():
+    # The file loaders reject these through _json_number; the dataclasses
+    # must too, or they surface later as a NaN or infinite cost bound.
+    good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
+                paths=((0, 1),), demand=100)
+    nan, inf = float("nan"), float("inf")
+    for field, value in [("demand", nan), ("demand", inf), ("capacity", [inf, 500]),
+                         ("coef", [0.2, inf]), ("free_flow", [10, -inf])]:
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            RoadNetwork(**{**good, field: value})
+    for value in (nan, inf):
+        with pytest.raises(InvalidInputError, match="epsilon must be finite"):
+            RouteInertiaSpec("indicator", value)
+
+
 def test_load_network_malformed(tmp_path):
     bad = tmp_path / "net.json"
     bad.write_text('{"links": [{"c": 1}], "paths": [[0]], "demand": 5}')
