@@ -10,11 +10,12 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   Its entries before the last are priced by the occupancy form, not
   certified, so a change of summation order can move them by rounding
   while ``fp/<config>`` stays put;
-- ``smfe/<config>``: ``solve_smfe`` at its defaults on route_e1t1 and
-  route_e0t1 (the returned pair);
-- ``cap30/<config>``: a 30-round ``fallback=False`` solve on each shipped
-  config (the pair, or the failure payload when the cap is reached);
-- ``damped/bottleneck_e1t20``: a 20-round solve at ``damping=2**-9``.
+- ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
+  each shipped config (the pair, or the failure payload when it stalls);
+- ``cap30/<config>``: the legacy damped loop, 30 rounds with
+  ``fallback=False``, on each shipped config (the pair, or the failure
+  payload when the cap is reached);
+- ``damped/bottleneck_e1t20``: a 20-round damped solve at ``damping=2**-9``.
 
 The package is imported from whichever ``src/`` comes first on
 ``PYTHONPATH``; the configs and scenarios are this checkout's.  Compare the
@@ -80,9 +81,8 @@ def main() -> None:
     hashes = {}
     for name, (cfg, cm) in models.items():
         hashes[f"fp/{name}"], hashes[f"fp-trace/{name}"] = fp_cases(cfg, cm)
-    for name in ("route_e1t1", "route_e0t1"):
-        hashes[f"smfe/{name}"] = smfe_case(models[name][1])
     for name, (_, cm) in models.items():
+        hashes[f"smfe/{name}"] = smfe_case(cm)
         hashes[f"cap30/{name}"] = smfe_case(cm, max_outer=30, fallback=False)
     hashes["damped/bottleneck_e1t20"] = smfe_case(
         models["bottleneck_e1t20"][1], damping=2.0**-9, max_outer=20, fallback=False)

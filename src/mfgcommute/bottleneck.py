@@ -54,6 +54,9 @@ class BottleneckSpec:
     def __post_init__(self):
         _check_finite(self, "M", "L", "capacity", "demand", "alpha", "beta", "gamma",
                       "r", "epsilon")
+        # A bool is an int to Python, and a float M would fail later, in np.eye.
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+            raise InvalidInputError(f"M must be an integer, got {self.M!r}")
         if self.M < 1 or self.L <= 0.0 or self.demand <= 0.0:
             raise InvalidInputError("M, L and demand must be positive")
         if self.normalized_capacity <= 0.0:

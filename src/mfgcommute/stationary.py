@@ -2,15 +2,16 @@
 
 A stationary pair is a value vector and a distribution such that one Bellman
 backup shifts the values by a single constant (so the induced policy is
-time-invariant) and that policy leaves the distribution invariant.  At a
-frozen distribution the solver finds the values exactly by soft policy
-iteration and the invariant law of their policy by one linear solve, then
-damps the distribution toward that law.  Values are gauge-fixed to V(0) = 0
-since the pair only pins values up to an additive constant.
+time-invariant) and that policy leaves the distribution invariant.  The
+solver finds both at once, by one Newton solve of the pair's equations in
+log form (the distribution as logits, its balance as log-sum-exps), so that
+the e^(-theta ...) masses of a stiff model neither underflow nor drop out of
+their rows.  Values are gauge-fixed to V(0) = 0 since the pair only pins
+values up to an additive constant.
 
 The diagnostics connect the stationary pair to classical within-day
 equilibrium notions: the logit equilibrium (the stationary distribution
-without inertia, solved directly by one root solve), the value/travel-cost
+without inertia, solved by the same Newton method), the value/travel-cost
 gap bracket under flat switching penalties, the population lower bound, and
 the flatness of the entropy-augmented cost profile.  Switching invariance,
 K_pi mu = mu, is the residual r2 of ``smfe_residuals``.
@@ -31,6 +32,7 @@ from .core import (
     SolverFailure,
     _bellman_core,
     _forward_step_core,
+    _soft_backup,
     bellman_apply,
     check_stochastic,
     dist_distance,
@@ -110,7 +112,142 @@ def _stationary_distribution(pi):
     return nu / math.fsum(nu)
 
 
+def _logsumexp(a):
+    # ln sum exp(a) down axis 0, shifted by the largest term of each column.
+    # scipy.special.logsumexp takes about ten times as long on a 40 x 40
+    # array, and a Newton step evaluates this twice per Jacobian column.
+    top = a.max(axis=0)
+    return top + np.log(np.exp(a - top).sum(axis=0))
+
+
+def _newton(fun, x, what):
+    """A root of ``fun`` by Newton's method from ``x``: (x, stop reason).
+
+    Each step solves J dx = -F, with the Jacobian J by forward differences
+    (step sqrt(eps) max(1, |x_j|)), then backtracks from t = 1 by halving
+    until |F(x + t dx)|^2 <= (1 - 2e-4 t) |F(x)|^2, the Armijo condition on
+    |F|^2 (Dennis & Schnabel, *Numerical Methods for Unconstrained
+    Optimization and Nonlinear Equations*, 1983, sec. 6.3); a non-finite F
+    fails it.  Stops "converged" at max |F| <= 1e-13, "stalled" when no step
+    down to t = 2**-20 passes (rounding, a kink or a local minimum of |F|),
+    "singular" when J is, and "capped" after 100 steps.  The caller
+    certifies x by its own residuals.
+    """
+    fx = fun(x)
+    steps, evaluations, stop = 0, 1, "capped"
+    while steps < 100:
+        if np.abs(fx).max(initial=0.0) <= 1e-13:
+            stop = "converged"
+            break
+        jac = np.empty((fx.size, x.size))
+        for j in range(x.size):
+            xj = x.copy()
+            xj[j] += 1.4901161193847656e-08 * max(1.0, abs(x[j]))
+            jac[:, j] = (fun(xj) - fx) / (xj[j] - x[j])
+        evaluations += x.size
+        try:
+            dx = np.linalg.solve(jac, -fx)
+        except np.linalg.LinAlgError:
+            stop = "singular"
+            break
+        size = fx @ fx
+        for halvings in range(21):
+            t = 0.5**halvings
+            trial = x + t * dx
+            f_trial = fun(trial)
+            evaluations += 1
+            if f_trial @ f_trial <= (1.0 - 2e-4 * t) * size:
+                break
+        else:
+            stop = "stalled"
+            break
+        x, fx = trial, f_trial
+        steps += 1
+        logger.debug("%s: Newton step %d, max|F| %.3e, line-search step %g",
+                     what, steps, np.abs(fx).max(initial=0.0), t)
+    logger.info("%s: Newton %s after %d steps and %d evaluations, max|F| %.3e",
+                what, stop, steps, evaluations, np.abs(fx).max(initial=0.0))
+    return x, stop
+
+
+def _pair_equations(cm):
+    """The stationary pair's equations in log form, and their unknowns' unpacking.
+
+    Unknowns x = (V(1..M-1), lambda, z(1..M-1)) with V(0) = 0 and
+    ln mu = (0, z) - logsumexp(0, z).  Rows: G V - V - lambda for every
+    state, then ln(K_pi mu) - ln mu for states 1..M-1 (state 0's balance
+    follows, as both laws sum to 1).  With c = min V and the normalizers Z
+    of ``_soft_backup``, ln (K_pi mu)(x) = theta (c - V(x))
+    + logsumexp_s(ln mu(s) - ln Z(s) - theta d(s, x)), so no mass
+    mu(s) pi(x|s) is formed: on the bottleneck such terms underflow.
+    """
+    m, theta = cm.M, cm.theta
+    log_kernel = -theta * cm.inertia_matrix
+
+    def unpack(x):
+        logits = np.concatenate([[0.0], x[m:]])
+        return np.concatenate([[0.0], x[:m - 1]]), float(x[m - 1]), logits - _logsumexp(logits)
+
+    def equations(x):
+        v, lam, log_mu = unpack(x)
+        soft, _, z = _soft_backup(cm.kernel, v, theta)
+        log_pushed = (v.min() - v) * theta + _logsumexp((log_mu - np.log(z))[:, None] + log_kernel)
+        value_rows = cm.cost(np.exp(log_mu)) + soft - v - lam
+        return np.concatenate([value_rows, (log_pushed - log_mu)[1:]])
+
+    return equations, unpack
+
+
 def solve_smfe(
+    cm: CostModel,
+    init=None,
+    tol: float = 1e-8,
+    damping: float | None = None,
+    max_outer: int | None = None,
+    fallback: bool | None = None,
+) -> StationaryPair:
+    """Solve for a stationary pair by one Newton solve of its log-form equations.
+
+    ``_newton`` solves ``_pair_equations`` cold, from V = 0, lambda = 0 and
+    the uniform distribution, straight at the model's theta: on the shipped
+    route configs in 6 steps.  It stops at max |F| <= 1e-13, or stalls once
+    the line search needs a step below 2**-20.  The pair it ends at is
+    priced by ``_pair_residuals``, the formulas of ``smfe_residuals``, and
+    returned when r1 and r2 are both <= ``tol``.  Otherwise SolverFailure
+    is raised, its payload the pair (``V_bar``, ``mu_bar``, ``lambda_bar``)
+    with that pair's ``r1`` and ``r2``.  Raises InvalidInputError for a
+    ``tol`` that is not positive.
+
+    The keywords ``init``, ``damping``, ``max_outer`` and ``fallback`` are
+    legacy: given any of them, the former damped loop, ``_solve_damped``,
+    runs instead, bit for bit, with its own defaults (0.5, 100_000 and True)
+    for the rest.  They are kept for the benchmark's ``bottleneck-smfe``
+    workload, which times that loop from a warm start, for
+    ``scripts/fingerprint.py``'s ``cap30`` and ``damped`` cases, and for the
+    tests that compare the two solvers.
+    """
+    if not tol > 0.0:
+        raise InvalidInputError("tol must be positive")
+    legacy = {"init": init, "damping": damping, "max_outer": max_outer, "fallback": fallback}
+    legacy = {name: value for name, value in legacy.items() if value is not None}
+    if legacy:
+        return _solve_damped(cm, tol=tol, **legacy)
+    equations, unpack = _pair_equations(cm)
+    x, stop = _newton(equations, np.zeros(2 * cm.M - 1), "stationary pair")
+    v, lam, log_mu = unpack(x)
+    mu = np.exp(log_mu)
+    backed, pi = _bellman_core(cm.cost(mu), cm.kernel, v, cm.theta)
+    r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
+    if r1 <= tol and r2 <= tol:
+        return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
+    raise SolverFailure(
+        f"stationary Newton solve {stop} at residuals r1={r1:.3e}, r2={r2:.3e}",
+        residual=max(r1, r2),
+        payload={"V_bar": v, "mu_bar": mu, "lambda_bar": lam, "r1": r1, "r2": r2},
+    )
+
+
+def _solve_damped(
     cm: CostModel,
     init=None,
     tol: float = 1e-8,
@@ -118,14 +255,15 @@ def solve_smfe(
     max_outer: int = 100_000,
     fallback: bool = True,
 ) -> StationaryPair:
-    """Solve for a stationary pair by alternating value and distribution updates.
+    """The former stationary solver: alternating value and distribution updates.
 
-    Each outer round solves the average-cost values exactly at the current
-    distribution, then damps the distribution toward the invariant law of
-    the induced policy, mu <- (1 - step) mu + step nu.  A round prices its
-    pair once: r1 comes from the backup G V that ends the value solve and r2
-    from one forward step of its policy, the formulas of ``smfe_residuals``
-    without its input checks and second backup.  The step starts at
+    Reached only through ``solve_smfe``'s legacy keywords, which checks
+    ``tol``.  Each outer round solves the average-cost values exactly at the
+    current distribution, then damps the distribution toward the invariant
+    law of the induced policy, mu <- (1 - step) mu + step nu.  A round
+    prices its pair once: r1 comes from the backup G V that ends the value
+    solve and r2 from one forward step of its policy, the formulas of
+    ``smfe_residuals`` without its input checks and second backup.  The step starts at
     ``damping`` and halves after 50 rounds without a new least r2, down to
     2**-20: a fixed step can lock into a two-cycle when theta times the cost
     spread is stiff.  With ``fallback``, the first round from round
@@ -137,14 +275,12 @@ def solve_smfe(
     start near a solution needs a small ``damping``: at 0.5, ``init`` set to
     route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9 to
     0.92 in 20 rounds.  Raises InvalidInputError for ``damping`` outside
-    (0, 1], ``max_outer`` below 1 or ``tol`` that is not positive.
+    (0, 1] or ``max_outer`` below 1.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must be in (0, 1]")
     if max_outer < 1:
         raise InvalidInputError("max_outer must be at least 1")
-    if not tol > 0.0:
-        raise InvalidInputError("tol must be positive")
     if init is None:
         mu = uniform_distribution(cm.M)
     else:
@@ -188,16 +324,13 @@ def solve_smfe(
 def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
     """Logit equilibrium mu = softmax(-theta f(mu)) of the one-day choice.
 
-    The stationary distribution of a model without inertia.  One root solve
-    by MINPACK's Powell hybrid method (scipy's ``hybr``) of the logit form
+    The stationary distribution of a model without inertia.  One Newton
+    solve (``_newton``, as for the stationary pair) of the logit form
     z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, mu(z) = softmax([0, z]),
     from the uniform distribution z = 0.  The inertia matrix is ignored.
     Certified by the residual d_f(mu, softmax(-theta f(mu))) <= ``tol``;
     raises SolverFailure with that residual otherwise.
     """
-    # Imported on first use: scipy.optimize adds about 60% to the import time
-    # of the package, and no other code path needs it.
-    from scipy.optimize import root
 
     def to_mu(z):
         return softmax(np.concatenate([[0.0], z]))
@@ -206,13 +339,13 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
         f = cm.cost(to_mu(z))
         return z + cm.theta * (f[1:] - f[0])
 
-    sol = root(logit_form, np.zeros(cm.M - 1), method="hybr", options={"xtol": 1e-14})
-    mu = to_mu(sol.x)
+    z, stop = _newton(logit_form, np.zeros(cm.M - 1), "logit SUE")
+    mu = to_mu(z)
     residual = dist_distance(mu, softmax(-cm.theta * cm.cost(mu)))
     if not residual <= tol:
         raise SolverFailure(
             f"logit SUE stopped at residual {residual:.3e} above tol={tol:g} "
-            f"({sol.message})",
+            f"(Newton {stop})",
             residual=residual,
         )
     return check_stochastic(mu, "SUE distribution", (cm.M,))

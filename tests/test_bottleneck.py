@@ -173,6 +173,15 @@ def test_spec_rejects_non_finite_fields_by_name():
                 BottleneckSpec(**{**GUO, field: value})
 
 
+def test_spec_rejects_a_non_integer_slice_count_by_name():
+    # load_spec rejects these through _json_number(..., int); the dataclass
+    # must too, not leave them to np.eye in bottleneck_cost_model.
+    for value in (40.7, 40.0, True, False):
+        with pytest.raises(InvalidInputError, match="M must be an integer"):
+            BottleneckSpec(**{**GUO, "M": value})
+    assert BottleneckSpec(**{**GUO, "M": np.int64(40)}) == BottleneckSpec(**GUO)
+
+
 def test_load_spec_malformed(tmp_path):
     bad = tmp_path / "spec.json"
     bad.write_text('{"M": 40}')

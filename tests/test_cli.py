@@ -418,6 +418,55 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
         assert doc[key] == payload[key]
 
 
+@pytest.mark.parametrize("epsilon, code", [(1.0, 2), (0.0, 0)],
+                         ids=["bottleneck_e1t20", "bottleneck_e0t20"])
+def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
+    # The shipped bottleneck models (theta 20) under a short FP run.  With
+    # inertia the Newton solve stalls and fails fast; smfe.json then holds
+    # the pair it stalled at, with that pair's own residuals.
+    from mfgcommute.cli import build_scenario
+    from mfgcommute.core import bellman_apply
+    from mfgcommute.stationary import StationaryPair, smfe_residuals
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, bottleneck_config(repo_root, out, epsilon=epsilon))
+    assert main(["smfe", "--config", str(path)]) == code
+    doc = json.loads((out / "smfe.json").read_text())
+    assert doc["converged"] is (code == 0)
+    cm, _ = build_scenario(load_config(path))
+    v, mu = np.array(doc["V_bar"]), np.array(doc["mu_bar"])
+    pair = StationaryPair(v, mu, doc["lambda_bar"], bellman_apply(v, mu, cm)[1])
+    assert smfe_residuals(pair, cm) == (doc["r1"], doc["r2"])
+    assert (max(doc["r1"], doc["r2"]) <= 1e-8) is (code == 0)
+
+
+def test_run_and_smfe_import_no_scipy_solver(tmp_path, repo_root):
+    # Both stationary solves and logit_sue (route without inertia) are numpy
+    # Newton solves; scipy.optimize or scipy.linalg would add tens of MB to
+    # the resident size of a run.
+    import os
+    import subprocess
+    import sys
+
+    out = tmp_path / "out"
+    path = write_config(tmp_path, route_config(repo_root, out, epsilon=0.0))
+    script = (
+        "import sys\n"
+        "from mfgcommute.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        f"assert main(['smfe', '--config', {str(path)!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))))\n"
+    )
+    paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert json.loads((out / "smfe.json").read_text())["df_to_logit_sue"] <= 1e-7
+
+
 def test_relative_scenario_path_resolves_against_config(tmp_path, repo_root):
     nested = tmp_path / "configs"
     nested.mkdir()

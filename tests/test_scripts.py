@@ -31,7 +31,7 @@ def test_fingerprint_script_hashes_every_case(repo_root, capsys):
                "bottleneck_e0t20"]
     assert sorted(hashes) == sorted(
         [f"fp/{c}" for c in configs] + [f"fp-trace/{c}" for c in configs]
-        + ["smfe/route_e1t1", "smfe/route_e0t1"]
+        + [f"smfe/{c}" for c in configs]
         + [f"cap30/{c}" for c in configs] + ["damped/bottleneck_e1t20"])
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes.values())
     assert len(set(hashes.values())) == len(hashes)

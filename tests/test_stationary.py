@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -116,13 +117,28 @@ def exact_e1t1(route_cm_e1t1, grid9_mu0, fp_e1t1):
 
 
 @pytest.fixture(scope="module")
-def exact_pair_e1t1(route_cm_e1t1, pair_e1t1):
+def damped_pairs(repo_root):
+    """The damped loop's pair on each route config, at that loop's defaults.
+
+    Passing its default ``damping`` selects the legacy loop.
+    """
+    pairs = {}
+    for name in ("route_e1t1", "route_e0t1", "route_e0t20"):
+        cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
+        pairs[name] = cm, solve_smfe(cm, damping=0.5)
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def exact_pair_e1t1(route_cm_e1t1, damped_pairs):
     """The route_e1t1 stationary pair, solved to rounding.
 
-    ``solve_smfe`` stops at its 1e-8 tolerance.  This solves G V = V + lambda
+    The damped loop stops at its 1e-8 tolerance.  This solves G V = V + lambda
     and K_pi mu = mu with V(0) = 0 and mu in logit form by hybr, started from
-    that pair, and raises unless both residuals are within EXACT_TOL.
+    that pair, and raises unless both residuals are within EXACT_TOL.  It
+    shares no code with the Newton solve but the Bellman backup.
     """
+    pair_e1t1 = damped_pairs["route_e1t1"][1]
     cm, m = route_cm_e1t1, route_cm_e1t1.M
 
     def unpack(x):
@@ -374,10 +390,14 @@ def test_solver_failure_carries_residuals():
 def test_solver_failure_payload_is_the_pair_its_residuals_measure(
         route_cm_e1t1, bottleneck_cm_e1t20):
     # A capped solve reports the pair it priced last, not that pair's
-    # distribution moved one more damped step.
-    for cm in (route_cm_e1t1, bottleneck_cm_e1t20[0]):
+    # distribution moved one more damped step; the Newton solve, which
+    # stalls on bottleneck_e1t20, reports the pair it stalled at.
+    bottleneck = bottleneck_cm_e1t20[0]
+    for cm, knobs in ((route_cm_e1t1, {"max_outer": 30, "fallback": False}),
+                      (bottleneck, {"max_outer": 30, "fallback": False}),
+                      (bottleneck, {})):
         with pytest.raises(SolverFailure) as exc:
-            solve_smfe(cm, max_outer=30, fallback=False)
+            solve_smfe(cm, **knobs)
         p = exc.value.payload
         pi = bellman_apply(p["V_bar"], p["mu_bar"], cm)[1]
         pair = StationaryPair(p["V_bar"], p["mu_bar"], p["lambda_bar"], pi)
@@ -396,6 +416,44 @@ def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
                   {"tol": float("nan")}):
         with pytest.raises(InvalidInputError):
             solve_smfe(route_cm_e1t1, **{"max_outer": 5, "fallback": False, **knobs})
+
+
+def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
+    for tol in (0.0, -1e-8, float("nan")):
+        with pytest.raises(InvalidInputError, match="tol"):
+            solve_smfe(route_cm_e1t1, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["route_e1t1", "route_e0t1", "route_e0t20"])
+def test_newton_pair_on_the_route_configs(damped_pairs, exact_pair_e1t1, name):
+    cm, damped = damped_pairs[name]
+    pair = solve_smfe(cm)
+    r1, r2 = smfe_residuals(pair, cm)
+    assert r1 <= 1e-8 and r2 <= 1e-8
+    assert pair.V_bar[0] == 0.0
+    assert dist_distance(pair.mu_bar, damped.mu_bar) <= 1e-7
+    if name == "route_e1t1":
+        assert dist_distance(pair.mu_bar, exact_pair_e1t1.mu_bar) <= 1e-12
+
+
+def test_newton_pair_is_the_logit_point_that_repels_fictitious_play(repo_root):
+    # bottleneck_e0t20 has no inertia, so its stationary law is the logit
+    # equilibrium; criterion 9b's FP run moves away from it.
+    cm, _ = build_scenario(load_config(repo_root / "configs" / "bottleneck_e0t20.json"))
+    pair = solve_smfe(cm)
+    r1, r2 = smfe_residuals(pair, cm)
+    assert r1 <= 1e-8 and r2 <= 1e-8
+    assert dist_distance(pair.mu_bar, logit_sue(cm)) <= 1e-10
+
+
+def test_newton_solve_logs_each_step(route_cm_e1t1, caplog):
+    with caplog.at_level(logging.DEBUG, logger="mfgcommute.stationary"):
+        solve_smfe(route_cm_e1t1)
+    steps = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    done = [r for r in caplog.records if r.levelno == logging.INFO]
+    assert steps and all("Newton step" in r.getMessage() for r in steps)
+    assert len(done) == 1
+    assert f"converged after {len(steps)} steps" in done[0].getMessage()
 
 
 def test_relative_values_solve_the_average_cost_equation(
