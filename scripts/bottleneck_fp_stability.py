@@ -26,11 +26,10 @@ import argparse
 from pathlib import Path
 
 import numpy as np
-from scipy.special import softmax
 
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from mfgcommute.fictitious import FPConfig, fictitious_play
-from mfgcommute.stationary import logit_sue
+from mfgcommute.stationary import _softmax, logit_sue
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bottleneck_e0t20.json"
 
@@ -38,7 +37,7 @@ CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bottleneck_e0t20.jso
 def tangent_jacobians(cm, mu, theta, h=1e-7):
     """Best-response and cost Jacobians by central differences, on the tangent space."""
     def best_response(m):
-        return softmax(-theta * cm.cost(m))
+        return _softmax(-theta * cm.cost(m))
 
     br = np.empty((cm.M, cm.M))
     cost = np.empty((cm.M, cm.M))
@@ -68,7 +67,7 @@ def main(argv=None):
     theta = cfg.theta
 
     mu = logit_sue(cm)
-    resid = np.max(np.abs(softmax(-theta * cm.cost(mu)) - mu))
+    resid = np.max(np.abs(_softmax(-theta * cm.cost(mu)) - mu))
     print(f"logit fixed point at theta={theta:g}: residual {resid:.1e}")
     rates = mu / spec.normalized_capacity
     print("departure rate / capacity:", np.array2string(rates, precision=3))

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import xlogy
 
 __all__ = [
     "DIST_TOL",
@@ -109,9 +108,14 @@ def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
 def _check_finite(obj, *names) -> None:
     # Order comparisons let an infinity through, and a NaN through any test
     # written as a rejection, so a field's range checks come after this one.
+    # A string, None or other non-number makes isfinite raise TypeError.
     for name in names:
         value = getattr(obj, name)
-        if not np.all(np.isfinite(value)):
+        try:
+            finite = np.all(np.isfinite(value))
+        except TypeError:
+            raise InvalidInputError(f"{name} must be a number, got {value!r}") from None
+        if not finite:
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
@@ -311,14 +315,24 @@ def forward_propagate(pi, mu0) -> np.ndarray:
 # policy evaluation
 
 
+def _xlogx(x):
+    # x ln x elementwise over a non-negative array, with 0 ln 0 = 0: the log
+    # runs over the positive entries only.
+    out = np.zeros(x.shape)
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return out
+
+
 def _policy_evaluate_core(pi, f_table, d, theta):
+    # The entropy term does not depend on the values: one call for all days.
     n_days, m = f_table.shape
     values = np.zeros((n_days + 1, m))
+    entropy = _xlogx(pi).sum(axis=2) / theta
     for n in range(n_days - 1, -1, -1):
         p = pi[n]
         stage = (p * (d + values[n + 1][None, :])).sum(axis=1)
-        entropy = xlogy(p, p).sum(axis=1) / theta
-        values[n] = f_table[n] + stage + entropy
+        values[n] = f_table[n] + stage + entropy[n]
         if not np.all(np.isfinite(values[n])):
             raise NumericError(f"non-finite value at day {n}")
     return values

@@ -20,10 +20,12 @@ pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s), its cost from mu0 is
         + (sum num ln num - sum den ln den) / (theta k).
 
 The entropy sums take 0 ln 0 = 0 by numpy's log over the positive entries
-only, about three times faster than scipy's ``xlogy`` on an (N, M, M)
-table.  The M x M paths (``_policy_evaluate_core`` day by day, the
-stationary solver's relative values) keep ``xlogy``: at a few options,
-where per-call overhead dominates, it is the faster.  The inertia sum folds
+only (``core._xlogx``, the package's one x ln x).  On a 2-core Xeon with
+numpy 2.4 and scipy 1.17, the row sums of x ln x over a 6 x 6 policy take
+3.6 us this way against 2.4 us with scipy's ``xlogy``, but over all 30 days
+of route_e0t1 at once 10 us against 72 us for 30 ``xlogy`` calls; at
+M = 40 one policy takes 10.5 against 17.7 us.  So ``_policy_evaluate_core``
+forms the entropy of every day in one call.  The inertia sum folds
 the days first, sum (sum_n num_n) * d, so no (N, M, M) temporary is built.
 These sums match the elementwise forms up to rounding, and only the
 uncertified trace entries use them.
@@ -46,6 +48,7 @@ from .core import (
     _backward_induction_core,
     _forward_propagate_core,
     _policy_evaluate_core,
+    _xlogx,
     check_stochastic,
     dist_distance,
     forward_propagate,
@@ -139,14 +142,6 @@ def fp_average_policy(history, j: int) -> np.ndarray:
     return _weighted_policy_average(num, den, m)
 
 
-def _xlogx_sum(x):
-    # sum x ln x over a non-negative array, with 0 ln 0 = 0.
-    out = np.zeros(x.shape)
-    np.log(x, out=out, where=x > 0.0)
-    out *= x
-    return float(out.sum())
-
-
 def _gap(pi, f_table, br_values, cm, mu0):
     # Cost of holding ``pi`` minus the best-response cost on the same table.
     held = _policy_evaluate_core(pi, f_table, cm.inertia_matrix, cm.theta)
@@ -203,7 +198,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
             held = (
                 np.sum(avg_mf * f_table)
                 + np.vdot(num.sum(axis=0), d) / k
-                + (_xlogx_sum(num) - _xlogx_sum(den)) / (cm.theta * k)
+                + (_xlogx(num).sum() - _xlogx(den).sum()) / (cm.theta * k)
             )
             gap = float(held) - float(np.sum(cfg.mu0 * br_values[0]))
             if gap <= cfg.exploitability_tol or j > cfg.max_iters:

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import softmax, xlogy
 
 from .core import (
     CostModel,
@@ -33,6 +32,7 @@ from .core import (
     _bellman_core,
     _forward_step_core,
     _soft_backup,
+    _xlogx,
     bellman_apply,
     check_stochastic,
     dist_distance,
@@ -84,7 +84,7 @@ def _relative_values(cm, mu, v_start):
     least_lam = least_move = math.inf
     for _ in range(100):  # only a rounding cycle reaches this cap
         _, pi = _bellman_core(f, cm.kernel, v, cm.theta)
-        c = f + (pi * d).sum(axis=1) + xlogy(pi, pi).sum(axis=1) / cm.theta
+        c = f + (pi * d).sum(axis=1) + _xlogx(pi).sum(axis=1) / cm.theta
         a = eye - pi
         a[:, 0] = 1.0
         x = np.linalg.solve(a, c)
@@ -114,10 +114,18 @@ def _stationary_distribution(pi):
 
 def _logsumexp(a):
     # ln sum exp(a) down axis 0, shifted by the largest term of each column.
-    # scipy.special.logsumexp takes about ten times as long on a 40 x 40
-    # array, and a Newton step evaluates this twice per Jacobian column.
+    # A Newton step of the pair evaluates this twice per Jacobian column, so
+    # it skips the argument checks and the signed and weighted forms of a
+    # general-purpose logsumexp.
     top = a.max(axis=0)
     return top + np.log(np.exp(a - top).sum(axis=0))
+
+
+def _softmax(a):
+    # exp(a - max a) / sum over a vector: no exponent above 0, and the
+    # largest term gives the sum at least 1.
+    e = np.exp(a - a.max())
+    return e / e.sum()
 
 
 def _newton(fun, x, what):
@@ -333,7 +341,7 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
     """
 
     def to_mu(z):
-        return softmax(np.concatenate([[0.0], z]))
+        return _softmax(np.concatenate([[0.0], z]))
 
     def logit_form(z):
         f = cm.cost(to_mu(z))
@@ -341,7 +349,7 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
 
     z, stop = _newton(logit_form, np.zeros(cm.M - 1), "logit SUE")
     mu = to_mu(z)
-    residual = dist_distance(mu, softmax(-cm.theta * cm.cost(mu)))
+    residual = dist_distance(mu, _softmax(-cm.theta * cm.cost(mu)))
     if not residual <= tol:
         raise SolverFailure(
             f"logit SUE stopped at residual {residual:.3e} above tol={tol:g} "

@@ -173,6 +173,14 @@ def test_spec_rejects_non_finite_fields_by_name():
                 BottleneckSpec(**{**GUO, field: value})
 
 
+def test_spec_rejects_a_non_numeric_field_by_name():
+    # load_spec rejects a number in a string through _json_number; the
+    # dataclass must name the field too, not raise numpy's TypeError.
+    for field, value in [("M", "40"), ("L", "3.0"), ("demand", None)]:
+        with pytest.raises(InvalidInputError, match=f"{field} must be a number"):
+            BottleneckSpec(**{**GUO, field: value})
+
+
 def test_spec_rejects_a_non_integer_slice_count_by_name():
     # load_spec rejects these through _json_number(..., int); the dataclass
     # must too, not leave them to np.eye in bottleneck_cost_model.

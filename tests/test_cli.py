@@ -440,31 +440,52 @@ def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
     assert (max(doc["r1"], doc["r2"]) <= 1e-8) is (code == 0)
 
 
-def test_run_and_smfe_import_no_scipy_solver(tmp_path, repo_root):
-    # Both stationary solves and logit_sue (route without inertia) are numpy
-    # Newton solves; scipy.optimize or scipy.linalg would add tens of MB to
-    # the resident size of a run.
+def scipy_modules_after(repo_root, script):
+    # The scipy modules a fresh interpreter holds after running ``script``
+    # against this checkout's package.
     import os
     import subprocess
     import sys
 
-    out = tmp_path / "out"
-    path = write_config(tmp_path, route_config(repo_root, out, epsilon=0.0))
-    script = (
-        "import sys\n"
-        "from mfgcommute.cli import main\n"
-        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
-        f"assert main(['smfe', '--config', {str(path)!r}]) == 0\n"
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'scipy.linalg'))))\n"
-    )
+    script = ("import sys\n" + script
+              + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_run_and_smfe_import_no_scipy_solver(tmp_path, repo_root):
+    # Both stationary solves and logit_sue (route without inertia) are numpy
+    # Newton solves, and the entropy and softmax are numpy too: any scipy
+    # module would add tens of MB and a third of a second to every run.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, route_config(repo_root, out, epsilon=0.0))
+    script = (
+        "from mfgcommute.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        f"assert main(['smfe', '--config', {str(path)!r}]) == 0\n"
+    )
+    assert scipy_modules_after(repo_root, script) == "[]"
     assert json.loads((out / "smfe.json").read_text())["df_to_logit_sue"] <= 1e-7
+
+
+def test_package_import_and_bottleneck_run_load_no_scipy(tmp_path, repo_root):
+    # The cold start of any command: the package import, then a bottleneck
+    # run through fictitious play, its certificate and the stationary
+    # diagnostic.
+    out = tmp_path / "out"
+    path = write_config(tmp_path, bottleneck_config(repo_root, out, epsilon=1.0))
+    script = (
+        "import mfgcommute\n"
+        "from mfgcommute.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+    )
+    assert scipy_modules_after(repo_root, script) == "[]"
+    assert (out / "diagnostics.json").exists()
 
 
 def test_relative_scenario_path_resolves_against_config(tmp_path, repo_root):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
 from mfgcommute.core import (
@@ -13,6 +14,7 @@ from mfgcommute.core import (
     KernelLimitError,
     NumericError,
     _forward_step_core,
+    _xlogx,
     backward_induction,
     bellman_apply,
     check_stochastic,
@@ -44,6 +46,18 @@ def random_distribution(rng, m):
 def random_policy(rng, m):
     p = rng.random((m, m)) + 1e-3
     return p / p.sum(axis=1, keepdims=True)
+
+
+def random_sparse_policies(rng, n, m):
+    # Random policy rows with exact zeros and subnormal entries mixed in.
+    p = rng.random((n, m, m))
+    p[rng.random(p.shape) < 0.3] = 0.0
+    p[..., 0] += 1e-3  # every row keeps mass
+    p /= p.sum(axis=2, keepdims=True)
+    # A third of the zeros turn subnormal, which moves no row sum visibly.
+    tiny = (p == 0.0) & (rng.random(p.shape) < 0.3)
+    p[tiny] = np.finfo(float).smallest_subnormal * rng.integers(1, 2**40, tiny.sum())
+    return p
 
 
 def random_cost_model(rng, m, theta=1.0, bound=2.0):
@@ -418,6 +432,37 @@ def test_policy_evaluate_deterministic_policy_zero_entropy():
     mu = np.tile(uniform_distribution(m), (n, 1))
     values = policy_evaluate(pi, mu, cm)
     assert np.allclose(values, 0.0, atol=1e-15)
+
+
+def test_xlogx_matches_scipy_xlogy():
+    rng = np.random.default_rng(21)
+    for m in (6, 40):
+        p = random_sparse_policies(rng, 30, m)
+        zero = p == 0.0
+        assert zero.any() and (p[~zero] < np.finfo(float).tiny).any()
+        ours, ref = _xlogx(p), xlogy(p, p)
+        assert (ours[zero] == 0.0).all() and not np.signbit(ours[zero]).any()
+        tol = 4 * np.finfo(float).eps * np.abs(ref) + np.finfo(float).smallest_subnormal
+        assert (np.abs(ours - ref) <= tol).all()
+
+
+def test_policy_evaluate_batched_entropy_matches_a_per_day_loop(repo_root):
+    # policy_evaluate forms the entropy of all days at once; the reference
+    # is the day-by-day recursion with scipy's xlogy.
+    rng = np.random.default_rng(22)
+    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
+    for cm in (random_cost_model(rng, 6, theta=1.3), bottleneck_cost_model(spec, 20.0)):
+        n, m, d = 30, cm.M, cm.inertia_matrix
+        pi = random_sparse_policies(rng, n, m)
+        mu = forward_propagate(pi, uniform_distribution(m))
+        f = cm.cost(mu)
+        ref = np.zeros((n + 1, m))
+        for k in range(n - 1, -1, -1):
+            p = pi[k]
+            ref[k] = (f[k] + (p * (d + ref[k + 1])).sum(axis=1)
+                      + xlogy(p, p).sum(axis=1) / cm.theta)
+        got = policy_evaluate(pi, mu, cm)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_total_cost_uniform_single_day_entropy():

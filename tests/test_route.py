@@ -225,6 +225,16 @@ def test_constructors_reject_non_finite_fields_by_name():
             RouteInertiaSpec("indicator", value)
 
 
+def test_constructors_reject_non_numeric_fields_by_name():
+    good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
+                paths=((0, 1),), demand=100)
+    for value in ("5", None):
+        with pytest.raises(InvalidInputError, match="demand must be a number"):
+            RoadNetwork(**{**good, "demand": value})
+    with pytest.raises(InvalidInputError, match="epsilon must be a number"):
+        RouteInertiaSpec("indicator", "1.0")
+
+
 def test_load_network_malformed(tmp_path):
     bad = tmp_path / "net.json"
     bad.write_text('{"links": [{"c": 1}], "paths": [[0]], "demand": 5}')

@@ -227,6 +227,25 @@ def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
     assert np.max(np.abs(rates[21:34] - 0.4)) <= 5e-4
 
 
+def test_softmax_matches_scipy(repo_root):
+    # Inputs spanning +-700, some shifted to where exp alone overflows or
+    # underflows in every entry, and -theta f on both bottleneck configs at
+    # the uniform split and with all commuters in one slice.
+    rng = np.random.default_rng(23)
+    inputs = [rng.uniform(-700.0, 700.0, 40), rng.uniform(-700.0, 700.0, 6),
+              rng.uniform(300.0, 1000.0, 40), rng.uniform(-1000.0, -800.0, 6),
+              np.array([-700.0, 0.0, 700.0]), np.array([700.0, 700.0]), np.zeros(1)]
+    for name in ("bottleneck_e1t20", "bottleneck_e0t20"):
+        cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
+        for mu in (uniform_distribution(cm.M), np.eye(cm.M)[cm.M // 2]):
+            inputs.append(-cm.theta * cm.cost(mu))
+    for a in inputs:
+        ours, ref = stationary._softmax(a), softmax(a)
+        assert np.isfinite(ours).all() and abs(ours.sum() - 1.0) <= DIST_TOL
+        tol = 4 * np.finfo(float).eps * ref + np.finfo(float).smallest_subnormal
+        assert (np.abs(ours - ref) <= tol).all()
+
+
 def test_sue_pair_construction_is_stationary(route_cm_e0t1, grid9):
     # With no inertia, (V, mu) = (f(., sue), sue) satisfies both conditions.
     mu = logit_sue(route_cm_e0t1)
