@@ -206,8 +206,10 @@ def _soft_backup(kernel, v_next, theta):
     # exp(-theta (V(x) - c)) shifted by c = min V ((c - V) * theta is that
     # exponent to the bit).  Then z = kernel @ u >= exp(-theta max d), a
     # normal float while theta max d <= KERNEL_LIMIT, and a weight that u
-    # rounds to 0 (exponent below -745) is less than e^-45 of z.
-    c = v_next.min()
+    # rounds to 0 (exponent below -745) is less than e^-45 of z.  So z > 0
+    # in every row, and the factors (u, z) may divide by z.  c is a Python
+    # float: the same bits, without numpy-scalar arithmetic.
+    c = float(v_next.min())
     u = np.exp((c - v_next) * theta)
     z = kernel.dot(u)
     return c - np.log(z) / theta, u, z
@@ -239,9 +241,10 @@ def bellman_apply(v_next, mu, cm: CostModel):
 
 
 def _backward_induction_core(f_table, kernel, theta):
-    # The day loop touches only vectors; the policies of all days are formed
-    # afterwards in one broadcast, in _bellman_core's elementwise order and,
-    # as there, in place, without a second (N, M, M) temporary.
+    # The day loop touches only vectors.  Day n's softmax policy is kept in
+    # factor form, pi_n = diag(1/z_n) kernel diag(u_n); _softmax_policies
+    # forms the tables and _forward_propagate_core pushes flows through the
+    # factors without them.
     n_days, m = f_table.shape
     values = np.zeros((n_days + 1, m))
     u = np.empty((n_days, m))
@@ -249,9 +252,16 @@ def _backward_induction_core(f_table, kernel, theta):
     for n in range(n_days - 1, -1, -1):
         soft, u[n], z[n] = _soft_backup(kernel, values[n + 1], theta)
         values[n] = f_table[n] + soft
-    policies = kernel * u[:, None, :]
-    policies /= z[:, :, None]
-    return values, policies
+    return values, u, z
+
+
+def _softmax_policies(kernel, u, z, out=None):
+    # The policies of all days from the sweep's factors in one broadcast, in
+    # _bellman_core's elementwise order and, as there, in place: into ``out``
+    # when given, else into one fresh (N, M, M) array.
+    out = np.multiply(kernel, u[:, None, :], out=out)
+    out /= z[:, :, None]
+    return out
 
 
 def backward_induction(mu, cm: CostModel):
@@ -261,23 +271,28 @@ def backward_induction(mu, cm: CostModel):
     Returns ``(values, policies)`` with shapes (N+1, M) and (N, M, M).
     """
     mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
-    return _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+    values, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+    return values, _softmax_policies(cm.kernel, u, z)
 
 
 # ---------------------------------------------------------------------------
 # forward operators
 
 
-def _forward_step_core(pi, mu):
-    # Row-by-row accumulation: bit-identical to the naive double loop.  The
-    # exact sum runs over a list: fsum iterates it faster than an array.
-    out = (mu[:, None] * pi).sum(axis=0)
-    total = math.fsum(out.tolist())
+def _renormalize(pushed, out=None):
+    # Absorb the rounding drift of one pushed day.  The exact sum runs over a
+    # list: fsum iterates it faster than an array.
+    total = math.fsum(pushed.tolist())
     if abs(total - 1.0) > RENORM_TOL:
         raise NumericError(
             f"mass drift {abs(total - 1.0):.3e} exceeds {RENORM_TOL:.0e}"
         )
-    return out / total
+    return np.divide(pushed, total, out=out)
+
+
+def _forward_step_core(pi, mu):
+    # Row-by-row accumulation: bit-identical to the naive double loop.
+    return _renormalize((mu[:, None] * pi).sum(axis=0))
 
 
 def forward_step(pi, mu) -> np.ndarray:
@@ -291,12 +306,18 @@ def forward_step(pi, mu) -> np.ndarray:
     return _forward_step_core(pi, mu)
 
 
-def _forward_propagate_core(pi, mu0):
-    n_days, m = pi.shape[0], pi.shape[1]
+def _forward_propagate_core(kernel, u, z, mu0):
+    # Flows of the softmax policies of a sweep with factors (u, z), pushed in
+    # kernel form: mu_{n+1}(x) = u_n(x) sum_s (mu_n(s) / z_n(s)) kernel(s, x),
+    # one vector-matrix product a day and no M x M table (_soft_backup keeps
+    # z > 0).  Equal to forward_propagate of those policies up to rounding.
+    n_days, m = u.shape
     out = np.empty((n_days, m))
     out[0] = mu0
     for n in range(n_days - 1):
-        out[n + 1] = _forward_step_core(pi[n], out[n])
+        push = (out[n] / z[n]).dot(kernel)
+        push *= u[n]
+        _renormalize(push, out=out[n + 1])
     return out
 
 
@@ -308,7 +329,11 @@ def forward_propagate(pi, mu0) -> np.ndarray:
     """
     mu0 = check_stochastic(mu0, "initial distribution", (None,))
     pi = check_stochastic(pi, "policy sequence", (None, mu0.size, mu0.size))
-    return _forward_propagate_core(pi, mu0)
+    out = np.empty((len(pi), mu0.size))
+    out[0] = mu0
+    for n in range(len(pi) - 1):
+        out[n + 1] = _forward_step_core(pi[n], out[n])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,8 @@ class RoadNetwork:
     incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # Before the float conversion, which would take "500" for a number.
+        _check_finite(self, "capacity", "coef", "free_flow", "demand")
         self.capacity = np.asarray(self.capacity, dtype=float)
         self.coef = np.asarray(self.coef, dtype=float)
         self.free_flow = np.asarray(self.free_flow, dtype=float)
@@ -53,7 +55,6 @@ class RoadNetwork:
         n_links = self.capacity.size
         if not self.capacity.shape == self.coef.shape == self.free_flow.shape == (n_links,):
             raise InvalidInputError("capacity, coef and free_flow need one entry per link")
-        _check_finite(self, "capacity", "coef", "free_flow", "demand")
         if not n_links or not self.paths:
             raise InvalidInputError("network needs at least one link and one path")
         if self.demand <= 0.0:

@@ -43,6 +43,13 @@ def test_workload_runs_and_passes_its_gate_traced(bench, name, tmp_path):
         tracer.enabled = True
         workload.prepare(REPO, 0, tmp_path, smoke=True)
         result = workload.run_once(0, tracer)
+        totals = tracer.totals()
         assert workload.gate(result) == []
     finally:
         tracer.close()
+    # The per-iteration split wraps FP's kernels by name; one that fictitious
+    # play stops calling would read 0 in that split without any error.
+    if any(span in totals for span in layers.FP_SPANS):
+        for kernel in layers.FP_KERNELS.values():
+            assert totals.get(f"fictitious.{kernel}", {}).get("calls", 0) >= 1, kernel
+

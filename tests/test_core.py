@@ -13,7 +13,10 @@ from mfgcommute.core import (
     InvalidInputError,
     KernelLimitError,
     NumericError,
+    _backward_induction_core,
+    _forward_propagate_core,
     _forward_step_core,
+    _soft_backup,
     _xlogx,
     backward_induction,
     bellman_apply,
@@ -380,6 +383,45 @@ def test_forward_propagate_identity_and_single_step():
     pols = np.tile(np.array([[0.3, 0.7], [0.4, 0.6]]), (2, 1, 1))
     out = forward_propagate(pols, mu0)
     assert np.allclose(out[1], [0.3, 0.7], atol=1e-15)
+
+
+def test_kernel_form_push_matches_the_explicit_policies(grid9, repo_root):
+    # Fictitious play pushes flows through the sweep's factors (u, z) and
+    # never forms the policies; that push must be forward_propagate of them.
+    rng = np.random.default_rng(19)
+    for cm in oracle_models(grid9, repo_root):
+        mu = np.stack([random_distribution(rng, cm.M) for _ in range(12)])
+        mu0 = random_distribution(rng, cm.M)
+        mu0[rng.integers(cm.M)] = 0.0
+        mu0 /= mu0.sum()
+        _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+        got = _forward_propagate_core(cm.kernel, u, z, mu0)
+        want = forward_propagate(backward_induction(mu, cm)[1], mu0)
+        assert np.array_equal(got[0], mu0)
+        assert np.max(np.abs(got - want)) <= 1e-15
+    # The corner of the kernel limit: row 0's normalizer is 2 exp(-700), so
+    # the push divides by the least z the limit admits.
+    cm = at_kernel_limit()
+    _, u, z = _soft_backup(cm.kernel, np.array([1.0, 0.0]), cm.theta)
+    assert z[0] == 2.0 * math.exp(-KERNEL_LIMIT)
+    mu0 = np.array([1.0, 0.0])
+    got = _forward_propagate_core(cm.kernel, np.stack([u, u]), np.stack([z, z]), mu0)
+    _, policy = bellman_apply(np.array([1.0, 0.0]), mu0, cm)
+    assert np.allclose(got[1], 0.5, rtol=0.0, atol=1e-15)
+    assert np.max(np.abs(got[1] - forward_step(policy, mu0))) <= 1e-15
+
+
+def test_kernel_form_push_drift_guard():
+    # A z that does not normalize its rows leaks mass; the push shares
+    # forward_step's guard and raises rather than renormalizing it away.
+    rng = np.random.default_rng(20)
+    cm = random_cost_model(rng, 4, theta=1.5)
+    mu = np.stack([random_distribution(rng, 4) for _ in range(3)])
+    _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+    mu0 = random_distribution(rng, 4)
+    _forward_propagate_core(cm.kernel, u, z, mu0)
+    with pytest.raises(NumericError, match="mass drift"):
+        _forward_propagate_core(cm.kernel, u, z * 1.01, mu0)
 
 
 def test_operators_reject_shapes_that_do_not_match_the_model():

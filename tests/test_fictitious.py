@@ -160,19 +160,37 @@ def test_fictitious_play_deterministic(route_cm_e1t1, grid9_mu0):
     assert np.array_equal(a.value_seq, b.value_seq)
 
 
-def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
+def test_incremental_average_matches_rescan(monkeypatch, route_cm_e1t1, grid9_mu0):
     # The solver's running averages must agree with recomputing the
     # occupancy-weighted formula from the stored iterates, and the first
-    # iterate's flow must replace the start outright.
+    # iterate's flow must replace the start outright.  The flows are the
+    # solver's own, pushed through the sweep's factors (u, z); they match
+    # forward_propagate of the best responses up to rounding.
     from mfgcommute.core import backward_induction
 
+    flows = []
+    push = fictitious._forward_propagate_core
+
+    def captured(*args):
+        flows.append(push(*args))
+        return flows[-1].copy()
+
+    monkeypatch.setattr(fictitious, "_forward_propagate_core", captured)
+
     n, m = 30, 6
+
+    def run(iters):
+        cfg = FPConfig(mu0=grid9_mu0, horizon=n, max_iters=iters, exploitability_tol=1e-12)
+        return fictitious_play(route_cm_e1t1, cfg)
+
+    report = run(8)
+    assert len(flows) == 8
     start = forward_propagate(uniform_policy_seq(n, m), grid9_mu0)
     avg_mf = start
     history = []
-    for j in range(1, 9):
+    for j, mf in enumerate(flows, start=1):
         _, pol = backward_induction(avg_mf, route_cm_e1t1)
-        mf = forward_propagate(pol, grid9_mu0)
+        assert np.max(np.abs(mf - forward_propagate(pol, grid9_mu0))) <= 1e-15
         history.append((mf, pol))
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * mf
     snapshot = [(mf.copy(), pol.copy()) for mf, pol in history]
@@ -181,11 +199,6 @@ def test_incremental_average_matches_rescan(route_cm_e1t1, grid9_mu0):
     for (mf, pol), (mf_was, pol_was) in zip(history, snapshot):
         assert np.array_equal(mf, mf_was) and np.array_equal(pol, pol_was)
 
-    def run(iters):
-        cfg = FPConfig(mu0=grid9_mu0, horizon=n, max_iters=iters, exploitability_tol=1e-12)
-        return fictitious_play(route_cm_e1t1, cfg)
-
-    report = run(8)
     assert np.array_equal(report.avg_policy, rescan)
     assert np.array_equal(report.avg_mf, avg_mf)
     first_flow = history[0][0]

@@ -235,6 +235,17 @@ def test_constructors_reject_non_numeric_fields_by_name():
         RouteInertiaSpec("indicator", "1.0")
 
 
+def test_network_rejects_non_numeric_link_entries_by_name():
+    # Digit strings must not pass as numbers, nor a missing entry as "not
+    # finite": the file loader rejects both, and so must the constructor.
+    good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
+                paths=((0, 1),), demand=100)
+    for field in ("capacity", "coef", "free_flow"):
+        for value in (["5", "5"], "abc", [None, 5], [5, "x"]):
+            with pytest.raises(InvalidInputError, match=f"{field} must be a number"):
+                RoadNetwork(**{**good, field: value})
+
+
 def test_load_network_malformed(tmp_path):
     bad = tmp_path / "net.json"
     bad.write_text('{"links": [{"c": 1}], "paths": [[0]], "demand": 5}')
