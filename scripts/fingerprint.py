@@ -15,7 +15,13 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
 - ``cap30/<config>``: the legacy damped loop, 30 rounds with
   ``fallback=False``, on each shipped config (the pair, or the failure
   payload when the cap is reached);
-- ``damped/bottleneck_e1t20``: a 20-round damped solve at ``damping=2**-9``.
+- ``damped/bottleneck_e1t20``: a 20-round damped solve at ``damping=2**-9``;
+- ``bellman/<config>``: the public table builders on each shipped config,
+  ``bellman_apply`` at one random (V, mu) and ``backward_induction`` at one
+  random mean field sequence, drawn from ``np.random.default_rng(0)``.
+
+The script calls the package's public API only, so it can fingerprint a
+tree older than itself.
 
 The package is imported from whichever ``src/`` comes first on
 ``PYTHONPATH``; the configs and scenarios are this checkout's.  Compare the
@@ -38,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
-from mfgcommute.core import SolverFailure
+from mfgcommute.core import SolverFailure, backward_induction, bellman_apply
 from mfgcommute.fictitious import FPConfig, fictitious_play
 from mfgcommute.stationary import solve_smfe
 
@@ -64,6 +70,14 @@ def fp_cases(cfg, cm):
     return certified, digest(r.exploitability_trace)
 
 
+def bellman_case(cfg, cm):
+    rng = np.random.default_rng(0)
+    v = cm.bound_C * rng.random(cm.M)
+    mu = rng.dirichlet(np.ones(cm.M))
+    mf = rng.dirichlet(np.ones(cm.M), size=cfg.horizon)
+    return digest(*bellman_apply(v, mu, cm), *backward_induction(mf, cm))
+
+
 def smfe_case(cm, **budget):
     try:
         p = solve_smfe(cm, **budget)
@@ -81,6 +95,7 @@ def main() -> None:
     hashes = {}
     for name, (cfg, cm) in models.items():
         hashes[f"fp/{name}"], hashes[f"fp-trace/{name}"] = fp_cases(cfg, cm)
+        hashes[f"bellman/{name}"] = bellman_case(cfg, cm)
     for name, (_, cm) in models.items():
         hashes[f"smfe/{name}"] = smfe_case(cm)
         hashes[f"cap30/{name}"] = smfe_case(cm, max_outer=30, fallback=False)

@@ -57,7 +57,7 @@ class ConfigError(Exception):
         self.field = field
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     scenario: str
     scenario_file: str
@@ -119,14 +119,6 @@ def _as_path(value, name):
     return value
 
 
-def _policy_days(days, horizon: int) -> list[int]:
-    days = [_as_number(d, "policy_days", int) for d in days]
-    for d in days:
-        if not 0 <= d < horizon:
-            raise ConfigError("policy_days", f"day {d} outside horizon")
-    return days
-
-
 def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     scenario = _require(raw, "scenario")
     if scenario not in ("route", "bottleneck"):
@@ -157,17 +149,22 @@ def config_from_dict(raw: dict, base_dir: Path) -> ExperimentConfig:
     solver = raw.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
-    max_iters = _as_number(solver.get("max_iters", 500), "solver.max_iters", int)
+    max_iters = _as_number(solver.get("max_iters", FPConfig.max_iters), "solver.max_iters", int)
     if max_iters < 1:
         raise ConfigError("solver.max_iters", "must be >= 1")
-    tol = _as_number(solver.get("exploitability_tol", 1e-6), "solver.exploitability_tol")
+    tol = _as_number(
+        solver.get("exploitability_tol", FPConfig.exploitability_tol), "solver.exploitability_tol"
+    )
     if not tol > 0.0:
         raise ConfigError("solver.exploitability_tol", "must be > 0")
     policy_days = raw.get("policy_days")
     if policy_days is not None:
         if not isinstance(policy_days, list):
             raise ConfigError("policy_days", "must be a list of day indices")
-        policy_days = _policy_days(policy_days, horizon)
+        policy_days = [_as_number(d, "policy_days", int) for d in policy_days]
+        for d in policy_days:
+            if not 0 <= d < horizon:
+                raise ConfigError("policy_days", f"day {d} outside horizon")
     return ExperimentConfig(
         scenario=scenario,
         scenario_file=_as_path(_require(raw, "scenario_file"), "scenario_file"),
@@ -306,7 +303,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 
     write_csv(report.avg_mf, out / "mf_trace.csv")
     write_csv(report.value_seq, out / "values.csv")
-    days = cfg.policy_days if cfg.policy_days else [0, cfg.horizon - 1]
+    days = [0, cfg.horizon - 1] if cfg.policy_days is None else cfg.policy_days
     for n in sorted(set(days)):
         write_csv(report.avg_policy[n], out / f"policy_day_{n}.csv")
     write_csv(report.exploitability_trace, out / "exploitability.csv")
@@ -396,9 +393,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment and write its artifacts")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="override the output directory")
-    p_run.add_argument(
-        "--policy-days", default=None, help="comma-separated day indices to dump"
-    )
 
     p_smfe = sub.add_parser("smfe", help="stationary-equilibrium comparison")
     p_smfe.add_argument("--config", required=True)
@@ -416,14 +410,6 @@ def main(argv=None) -> int:
             print(f"config OK: {args.config}")
             return 0
         if args.command == "run":
-            if args.policy_days is not None:
-                try:
-                    days = [int(d) for d in args.policy_days.split(",") if d.strip()]
-                except ValueError:
-                    raise ConfigError(
-                        "policy_days", f"expected integers, got {args.policy_days!r}"
-                    ) from None
-                cfg.policy_days = _policy_days(days, cfg.horizon)
             return run_experiment(cfg, args.out)
         return compare_smfe(cfg, args.out)
     except ConfigError as exc:

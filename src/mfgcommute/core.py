@@ -215,15 +215,6 @@ def _soft_backup(kernel, v_next, theta):
     return c - np.log(z) / theta, u, z
 
 
-def _bellman_core(f, kernel, v_next, theta):
-    # V(s) = f(s) - (1/theta) ln sum_x exp(-theta (d(s,x)+V(x))) with the
-    # softmax policy as by-product.
-    soft, u, z = _soft_backup(kernel, v_next, theta)
-    p = kernel * u
-    p /= z[:, None]
-    return f + soft, p
-
-
 def bellman_apply(v_next, mu, cm: CostModel):
     """One optimal Bellman backup against mean field ``mu``.
 
@@ -237,7 +228,8 @@ def bellman_apply(v_next, mu, cm: CostModel):
     if not np.all(np.isfinite(v_next)):
         raise InvalidInputError("value vector contains non-finite entries")
     mu = check_stochastic(mu, "mean field", (cm.M,))
-    return _bellman_core(cm.cost(mu), cm.kernel, v_next, cm.theta)
+    soft, u, z = _soft_backup(cm.kernel, v_next, cm.theta)
+    return cm.cost(mu) + soft, _softmax_policies(cm.kernel, u, z)
 
 
 def _backward_induction_core(f_table, kernel, theta):
@@ -256,11 +248,13 @@ def _backward_induction_core(f_table, kernel, theta):
 
 
 def _softmax_policies(kernel, u, z, out=None):
-    # The policies of all days from the sweep's factors in one broadcast, in
-    # _bellman_core's elementwise order and, as there, in place: into ``out``
-    # when given, else into one fresh (N, M, M) array.
-    out = np.multiply(kernel, u[:, None, :], out=out)
-    out /= z[:, :, None]
+    # The package's one builder of softmax policy tables, pi(x|s) =
+    # kernel(s, x) u(x) / z(s) from the factors of _soft_backup: one day's
+    # (M,) factors give one (M, M) table, a sweep's (N, M) factors all N
+    # tables in one broadcast.  Formed in place, into ``out`` when given,
+    # else into one fresh array.
+    out = np.multiply(kernel, u[..., None, :], out=out)
+    out /= z[..., :, None]
     return out
 
 

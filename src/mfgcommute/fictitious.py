@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .core import (
     CostModel,
     InvalidInputError,
     _backward_induction_core,
+    _check_finite,
     _forward_propagate_core,
     _policy_evaluate_core,
     _softmax_policies,
@@ -86,6 +88,8 @@ logger = logging.getLogger(__name__)
 class FPConfig:
     """Inputs of the fictitious play loop.
 
+    ``horizon`` and ``max_iters`` are integers, given as any integral number
+    (a bool is not one), and ``exploitability_tol`` a number.
     ``initial_policy`` defaults to all-uniform rows.
     """
 
@@ -97,6 +101,12 @@ class FPConfig:
 
     def __post_init__(self):
         self.mu0 = check_stochastic(self.mu0, "initial distribution", (None,))
+        _check_finite(self, "horizon", "max_iters", "exploitability_tol")
+        for name in ("horizon", "max_iters"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or value != int(value):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.horizon < 1:
             raise InvalidInputError("horizon must be at least 1")
         if self.max_iters < 1:

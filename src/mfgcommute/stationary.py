@@ -29,9 +29,9 @@ from .core import (
     CostModel,
     InvalidInputError,
     SolverFailure,
-    _bellman_core,
     _forward_step_core,
     _soft_backup,
+    _softmax_policies,
     _xlogx,
     bellman_apply,
     check_stochastic,
@@ -83,7 +83,8 @@ def _relative_values(cm, mu, v_start):
     eye = np.eye(cm.M)
     least_lam = least_move = math.inf
     for _ in range(100):  # only a rounding cycle reaches this cap
-        _, pi = _bellman_core(f, cm.kernel, v, cm.theta)
+        _, u, z = _soft_backup(cm.kernel, v, cm.theta)
+        pi = _softmax_policies(cm.kernel, u, z)
         c = f + (pi * d).sum(axis=1) + _xlogx(pi).sum(axis=1) / cm.theta
         a = eye - pi
         a[:, 0] = 1.0
@@ -95,8 +96,8 @@ def _relative_values(cm, mu, v_start):
         if move == 0.0 or (move >= least_move and lam >= least_lam):
             break
         least_move, least_lam = min(move, least_move), min(lam, least_lam)
-    backed, pi = _bellman_core(f, cm.kernel, v, cm.theta)
-    return v, lam, pi, backed
+    soft, u, z = _soft_backup(cm.kernel, v, cm.theta)
+    return v, lam, _softmax_policies(cm.kernel, u, z), f + soft
 
 
 def _stationary_distribution(pi):
@@ -244,8 +245,9 @@ def solve_smfe(
     x, stop = _newton(equations, np.zeros(2 * cm.M - 1), "stationary pair")
     v, lam, log_mu = unpack(x)
     mu = np.exp(log_mu)
-    backed, pi = _bellman_core(cm.cost(mu), cm.kernel, v, cm.theta)
-    r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
+    soft, u, z = _soft_backup(cm.kernel, v, cm.theta)
+    pi = _softmax_policies(cm.kernel, u, z)
+    r1, r2 = _pair_residuals(cm.cost(mu) + soft, v, lam, _forward_step_core(pi, mu), mu)
     if r1 <= tol and r2 <= tol:
         return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
     raise SolverFailure(
@@ -422,8 +424,11 @@ def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
     """Entropy-augmented profile g(s) = cost(s) + (1/theta) ln mu(s).
 
     A flat profile (max - min below tolerance) certifies the logit
-    equilibrium condition for the given cost vector.
+    equilibrium condition for the given cost vector.  Raises
+    InvalidInputError for a ``theta`` that is not positive and finite.
     """
+    if not (theta > 0.0 and math.isfinite(theta)):
+        raise InvalidInputError("theta must be positive and finite")
     mu = check_stochastic(mu, "distribution", (None,))
     v_or_f = np.asarray(v_or_f, dtype=float)
     if v_or_f.shape != mu.shape:

@@ -228,16 +228,25 @@ def test_config_echo_round_trips(tmp_path, repo_root):
     assert config_from_dict(legacy, tmp_path).to_dict() == cfg.to_dict()
 
 
-def test_policy_days_override(tmp_path, repo_root):
-    out = tmp_path / "out"
-    path = write_config(tmp_path, route_config(repo_root, out))
-    code = main(["run", "--config", str(path), "--policy-days", "1,3"])
-    assert code == 0
-    assert (out / "policy_day_1.csv").exists()
-    assert (out / "policy_day_3.csv").exists()
-    assert not (out / "policy_day_0.csv").exists()
-    for bad in ("1,99", "1,x"):
-        assert main(["run", "--config", str(path), "--policy-days", bad]) == 1
+def test_policy_days_override(tmp_path, repo_root, capsys):
+    # The config's policy_days picks the days written, and [] picks none;
+    # without the key, run writes days 0 and N-1 (test_run_experiment_artifacts).
+    for days in ([1, 3], []):
+        out = tmp_path / f"out{len(days)}"
+        path = write_config(tmp_path, route_config(repo_root, out, policy_days=days))
+        assert main(["run", "--config", str(path)]) == 0
+        assert sorted(p.name for p in out.glob("policy_day_*.csv")) == [
+            f"policy_day_{n}.csv" for n in days
+        ]
+    for bad in ([1, 99], [1, "x"]):
+        path = write_config(tmp_path, route_config(repo_root, tmp_path / "bad", policy_days=bad))
+        capsys.readouterr()
+        assert main(["run", "--config", str(path)]) == 1
+        assert "policy_days" in capsys.readouterr().out
+    # The config is the one place that picks them: run has no flag for it.
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--policy-days", "1"])
+    assert exc.value.code == 2
 
 
 def test_validate_command(tmp_path, repo_root, capsys):

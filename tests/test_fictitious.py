@@ -111,6 +111,20 @@ def test_fp_config_validation():
         FPConfig(mu0=uniform_distribution(3), horizon=2, max_iters=0)
     with pytest.raises(InvalidInputError):
         FPConfig(mu0=uniform_distribution(3), horizon=2, exploitability_tol=0.0)
+    # A count is an integral number, never truncated, and a bool is not one;
+    # the tolerance is a number.  Each names its field.
+    for field, value in [
+        ("horizon", 2.5), ("horizon", "3"), ("horizon", True), ("horizon", float("inf")),
+        ("max_iters", 2.5), ("max_iters", None), ("max_iters", False),
+        ("max_iters", float("nan")), ("exploitability_tol", "1e-6"),
+        ("exploitability_tol", None),
+    ]:
+        kwargs = {"horizon": 2, field: value}
+        with pytest.raises(InvalidInputError, match=field):
+            FPConfig(mu0=uniform_distribution(3), **kwargs)
+    cfg = FPConfig(mu0=uniform_distribution(3), horizon=2.0, max_iters=np.int64(3))
+    assert (cfg.horizon, cfg.max_iters) == (2, 3)
+    assert type(cfg.horizon) is int and type(cfg.max_iters) is int
     with pytest.raises(InvalidInputError):
         FPConfig(mu0=uniform_distribution(3), horizon=2,
                  initial_policy=uniform_policy_seq(3, 3))

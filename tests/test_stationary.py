@@ -355,6 +355,10 @@ def test_augmented_profile_generic_not_flat_and_validation():
         augmented_cost_profile(np.array([0.0, 1.0]), np.zeros(2), 1.0)
     with pytest.raises(InvalidInputError):
         augmented_cost_profile(uniform_distribution(3), np.zeros(2), 1.0)
+    # theta = 0 would divide by zero and a negative theta flip the profile.
+    for theta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="theta"):
+            augmented_cost_profile(mu, f, theta)
 
 
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
