@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .core import CostModel, InvalidInputError, _check_finite
-from .route import _json_number
+from .core import CostModel, InvalidInputError, _number
 
 __all__ = [
     "BottleneckSpec",
@@ -52,11 +51,9 @@ class BottleneckSpec:
     epsilon: float
 
     def __post_init__(self):
-        _check_finite(self, "M", "L", "capacity", "demand", "alpha", "beta", "gamma",
-                      "r", "epsilon")
-        # A bool is an int to Python, and a float M would fail later, in np.eye.
-        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
-            raise InvalidInputError(f"M must be an integer, got {self.M!r}")
+        for f in fields(self):
+            kind = int if f.name == "M" else float
+            object.__setattr__(self, f.name, _number(getattr(self, f.name), f.name, kind))
         if self.M < 1 or self.L <= 0.0 or self.demand <= 0.0:
             raise InvalidInputError("M, L and demand must be positive")
         if self.normalized_capacity <= 0.0:
@@ -143,10 +140,6 @@ def load_spec(path) -> BottleneckSpec:
         # A file asking for another mapping must not load as left edges.
         if raw.get("slice_mapping", "left") != "left":
             raise ValueError("a slice maps to its left edge; slice_mapping must be 'left'")
-        return BottleneckSpec(
-            M=_json_number(raw["M"], int),
-            **{k: _json_number(raw[k]) for k in
-               ("L", "capacity", "demand", "alpha", "beta", "gamma", "r", "epsilon")},
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return BottleneckSpec(**{f.name: raw[f.name] for f in fields(BottleneckSpec)})
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed scenario file {path}: {exc}") from exc

@@ -27,13 +27,14 @@ from .core import (
     InvalidInputError,
     KernelLimitError,
     SolverFailure,
+    _number,
     check_stochastic,
     dist_distance,
     forward_propagate,
     uniform_distribution,
 )
 from .fictitious import FPConfig, fictitious_play
-from .route import RouteInertiaSpec, _json_number, link_flows, load_network, route_cost_model
+from .route import RouteInertiaSpec, link_flows, load_network, route_cost_model
 from .stationary import (
     augmented_cost_profile,
     logit_sue,
@@ -106,10 +107,10 @@ def _require(raw: dict, name: str):
 
 
 def _as_number(value, name, kind=float):
-    """The scenario files' rule for a config field: a finite JSON number."""
+    """The package's number rule, ``core._number``, as a config error naming ``name``."""
     try:
-        return _json_number(value, kind)
-    except (ValueError, OverflowError) as exc:
+        return _number(value, name, kind)
+    except InvalidInputError as exc:
         raise ConfigError(name, str(exc)) from None
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -105,18 +106,37 @@ def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _check_finite(obj, *names) -> None:
-    # Order comparisons let an infinity through, and a NaN through any test
-    # written as a rejection, so a field's range checks come after this one.
-    # A string, None or other non-number makes isfinite raise TypeError.
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            finite = np.all(np.isfinite(value))
-        except TypeError:
-            raise InvalidInputError(f"{name} must be a number, got {value!r}") from None
-        if not finite:
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+def _number(value, name: str, kind=float):
+    """``kind(value)`` of a finite real number, else InvalidInputError naming ``name``.
+
+    The package's one number rule.  Not a number: a bool, a string, None, an
+    array.  Not finite: nan, +-inf and an int beyond the float range.  An int
+    field takes integral values only, so 40.0 reads as 40.  Range checks come
+    after this one, since an order comparison lets an infinity or a nan by.
+    """
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, Real):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    if kind is int and value != int(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, name: str) -> np.ndarray:
+    # _number entry by entry, as a float array: an ndarray of a real dtype in
+    # one check, anything else entry by entry, since numpy reads True as 1.
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        bad = ~np.isfinite(values)
+        if bad.any():
+            raise InvalidInputError(f"{name} must be finite, got {values[bad][0].item()!r}")
+        return values.astype(float, copy=False)
+    entries = np.array(values, dtype=object)
+    return np.array([_number(v, name) for v in entries.flat]).reshape(entries.shape)
 
 
 def uniform_distribution(m: int) -> np.ndarray:
@@ -153,18 +173,20 @@ class CostModel:
     kernel: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.inertia_matrix, dtype=float)
+        d = _numbers(self.inertia_matrix, "inertia_matrix")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InvalidInputError(f"inertia matrix must be square, got shape {d.shape}")
         if d.shape[0] < 1:
             raise InvalidInputError("cost model needs at least one state")
-        if not (self.theta > 0.0 and math.isfinite(self.theta)):
-            raise InvalidInputError("theta must be positive and finite")
-        if not (self.bound_C >= 0.0 and math.isfinite(self.bound_C)):
-            raise InvalidInputError("bound_C must be non-negative and finite")
-        if not np.all(np.isfinite(d)) or np.any(d < 0.0) or np.any(d > self.bound_C):
+        self.theta = theta = _number(self.theta, "theta")
+        if theta <= 0.0:
+            raise InvalidInputError("theta must be positive")
+        self.bound_C = _number(self.bound_C, "bound_C")
+        if self.bound_C < 0.0:
+            raise InvalidInputError("bound_C must be non-negative")
+        if np.any(d < 0.0) or np.any(d > self.bound_C):
             raise InvalidInputError("inertia values must lie in [0, bound_C]")
-        theta, d_max = float(self.theta), float(d.max())
+        d_max = float(d.max())
         if theta * d_max > KERNEL_LIMIT:
             raise KernelLimitError(
                 f"theta * max inertia = {theta!r} * {d_max!r} = {theta * d_max!r}"

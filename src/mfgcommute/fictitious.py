@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
@@ -62,8 +61,8 @@ from .core import (
     CostModel,
     InvalidInputError,
     _backward_induction_core,
-    _check_finite,
     _forward_propagate_core,
+    _number,
     _policy_evaluate_core,
     _softmax_policies,
     _xlogx,
@@ -88,9 +87,8 @@ logger = logging.getLogger(__name__)
 class FPConfig:
     """Inputs of the fictitious play loop.
 
-    ``horizon`` and ``max_iters`` are integers, given as any integral number
-    (a bool is not one), and ``exploitability_tol`` a number.
-    ``initial_policy`` defaults to all-uniform rows.
+    ``horizon`` and ``max_iters`` are ints and ``exploitability_tol`` a
+    float, by ``core._number``.  ``initial_policy`` defaults to uniform rows.
     """
 
     mu0: np.ndarray
@@ -101,12 +99,9 @@ class FPConfig:
 
     def __post_init__(self):
         self.mu0 = check_stochastic(self.mu0, "initial distribution", (None,))
-        _check_finite(self, "horizon", "max_iters", "exploitability_tol")
-        for name in ("horizon", "max_iters"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or value != int(value):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-            setattr(self, name, int(value))
+        self.horizon = _number(self.horizon, "horizon", int)
+        self.max_iters = _number(self.max_iters, "max_iters", int)
+        self.exploitability_tol = _number(self.exploitability_tol, "exploitability_tol")
         if self.horizon < 1:
             raise InvalidInputError("horizon must be at least 1")
         if self.max_iters < 1:

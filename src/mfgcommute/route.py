@@ -10,13 +10,12 @@ flat penalty for switching paths or a penalty shrinking with path overlap.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .core import CostModel, InvalidInputError, _check_finite
+from .core import CostModel, InvalidInputError, _number, _numbers
 
 __all__ = [
     "RoadNetwork",
@@ -46,12 +45,11 @@ class RoadNetwork:
     incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # Before the float conversion, which would take "500" for a number.
-        _check_finite(self, "capacity", "coef", "free_flow", "demand")
-        self.capacity = np.asarray(self.capacity, dtype=float)
-        self.coef = np.asarray(self.coef, dtype=float)
-        self.free_flow = np.asarray(self.free_flow, dtype=float)
-        self.paths = tuple(tuple(p) for p in self.paths)
+        self.capacity = _numbers(self.capacity, "capacity")
+        self.coef = _numbers(self.coef, "coef")
+        self.free_flow = _numbers(self.free_flow, "free_flow")
+        self.demand = _number(self.demand, "demand")
+        self.paths = tuple(tuple(_number(i, "paths", int) for i in p) for p in self.paths)
         n_links = self.capacity.size
         if not self.capacity.shape == self.coef.shape == self.free_flow.shape == (n_links,):
             raise InvalidInputError("capacity, coef and free_flow need one entry per link")
@@ -112,7 +110,7 @@ class RouteInertiaSpec:
     def __post_init__(self):
         if self.kind not in ("indicator", "overlap"):
             raise InvalidInputError(f"unknown inertia kind {self.kind!r}")
-        _check_finite(self, "epsilon")
+        object.__setattr__(self, "epsilon", _number(self.epsilon, "epsilon"))
         if self.epsilon < 0.0:
             raise InvalidInputError("epsilon must be non-negative")
 
@@ -144,29 +142,13 @@ def route_cost_model(
     )
 
 
-def _json_number(value, kind=float):
-    """``kind(value)`` of a finite JSON number, else a ValueError.
-
-    A string, a boolean, Infinity, NaN and, for int, a non-integral value
-    are all rejected.
-    """
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (is_number and math.isfinite(value)) or (kind is int and value != int(value)):
-        raise ValueError(f"expected a finite {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
 def load_network(path) -> RoadNetwork:
     """Read a network file: {"links": [{c, b, t0}, ...], "paths": [[...]], "demand": x}."""
     try:
         raw = json.loads(Path(path).read_text())
         links = raw["links"]
-        return RoadNetwork(
-            capacity=[_json_number(l["c"]) for l in links],
-            coef=[_json_number(l["b"]) for l in links],
-            free_flow=[_json_number(l["t0"]) for l in links],
-            paths=[[_json_number(i, int) for i in p] for p in raw["paths"]],
-            demand=_json_number(raw["demand"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return RoadNetwork(capacity=[l["c"] for l in links], coef=[l["b"] for l in links],
+                           free_flow=[l["t0"] for l in links], paths=raw["paths"],
+                           demand=raw["demand"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"malformed network file {path}: {exc}") from exc

@@ -30,6 +30,7 @@ from .core import (
     InvalidInputError,
     SolverFailure,
     _forward_step_core,
+    _number,
     _soft_backup,
     _softmax_policies,
     _xlogx,
@@ -235,7 +236,8 @@ def solve_smfe(
     ``scripts/fingerprint.py``'s ``cap30`` and ``damped`` cases, and for the
     tests that compare the two solvers.
     """
-    if not tol > 0.0:
+    tol = _number(tol, "tol")
+    if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
     legacy = {"init": init, "damping": damping, "max_outer": max_outer, "fallback": fallback}
     legacy = {name: value for name, value in legacy.items() if value is not None}
@@ -341,6 +343,7 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
     Certified by the residual d_f(mu, softmax(-theta f(mu))) <= ``tol``;
     raises SolverFailure with that residual otherwise.
     """
+    tol = _number(tol, "tol")
 
     def to_mu(z):
         return _softmax(np.concatenate([[0.0], z]))
@@ -425,10 +428,11 @@ def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
 
     A flat profile (max - min below tolerance) certifies the logit
     equilibrium condition for the given cost vector.  Raises
-    InvalidInputError for a ``theta`` that is not positive and finite.
+    InvalidInputError for a ``theta`` that is not a positive number.
     """
-    if not (theta > 0.0 and math.isfinite(theta)):
-        raise InvalidInputError("theta must be positive and finite")
+    theta = _number(theta, "theta")
+    if theta <= 0.0:
+        raise InvalidInputError("theta must be positive")
     mu = check_stochastic(mu, "distribution", (None,))
     v_or_f = np.asarray(v_or_f, dtype=float)
     if v_or_f.shape != mu.shape:

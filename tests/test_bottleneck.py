@@ -166,7 +166,8 @@ def test_spec_validation_and_ordering_warning():
 
 
 def test_spec_rejects_non_finite_fields_by_name():
-    # load_spec rejects these through _json_number; the dataclass must too.
+    # load_spec passes the file's values to the dataclass, whose number rule
+    # (core._number) rejects these by name.
     for field in GUO:
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
@@ -174,20 +175,24 @@ def test_spec_rejects_non_finite_fields_by_name():
 
 
 def test_spec_rejects_a_non_numeric_field_by_name():
-    # load_spec rejects a number in a string through _json_number; the
-    # dataclass must name the field too, not raise numpy's TypeError.
-    for field, value in [("M", "40"), ("L", "3.0"), ("demand", None)]:
+    # A number in a string, None or a bool is not a number; the dataclass
+    # names the field rather than raising numpy's TypeError.
+    for field, value in [("M", "40"), ("L", "3.0"), ("demand", None), ("L", True),
+                         ("epsilon", np.False_)]:
         with pytest.raises(InvalidInputError, match=f"{field} must be a number"):
             BottleneckSpec(**{**GUO, field: value})
 
 
 def test_spec_rejects_a_non_integer_slice_count_by_name():
-    # load_spec rejects these through _json_number(..., int); the dataclass
-    # must too, not leave them to np.eye in bottleneck_cost_model.
-    for value in (40.7, 40.0, True, False):
-        with pytest.raises(InvalidInputError, match="M must be an integer"):
+    # M is an int field: a fraction or a bool is rejected by name, not left
+    # to np.eye in bottleneck_cost_model, and an integral number is stored as
+    # its int, as load_spec reads "M": 40.0.
+    for value, what in [(40.7, "an integer"), (True, "a number"), (False, "a number")]:
+        with pytest.raises(InvalidInputError, match=f"M must be {what}"):
             BottleneckSpec(**{**GUO, "M": value})
-    assert BottleneckSpec(**{**GUO, "M": np.int64(40)}) == BottleneckSpec(**GUO)
+    for value in (40.0, np.int64(40)):
+        spec = BottleneckSpec(**{**GUO, "M": value})
+        assert spec == BottleneckSpec(**GUO) and type(spec.M) is int
 
 
 def test_load_spec_malformed(tmp_path):

@@ -157,6 +157,15 @@ def test_cost_model_validation():
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(InvalidInputError, match="bound_C"):
             CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=bad)
+    # A string, None or a bool is not a number, in a scalar field or as an
+    # entry of the inertia matrix, and each names its field.
+    for field, value in [("theta", "1"), ("theta", True), ("theta", None),
+                         ("bound_C", None), ("bound_C", np.True_),
+                         ("inertia_matrix", [["0", "1"], ["1", "0"]]),
+                         ("inertia_matrix", [[0.0, True], [True, 0.0]])]:
+        kwargs = {"inertia_matrix": d, "theta": 1.0, "bound_C": 1.0, field: value}
+        with pytest.raises(InvalidInputError, match=f"{field} must be a number"):
+            CostModel(cost=zero_cost, **kwargs)
     ok = CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=1.0)
     assert ok.inertia_matrix.shape == (2, 2)
     assert ok.M == 2

@@ -117,7 +117,7 @@ def test_fp_config_validation():
         ("horizon", 2.5), ("horizon", "3"), ("horizon", True), ("horizon", float("inf")),
         ("max_iters", 2.5), ("max_iters", None), ("max_iters", False),
         ("max_iters", float("nan")), ("exploitability_tol", "1e-6"),
-        ("exploitability_tol", None),
+        ("exploitability_tol", None), ("exploitability_tol", True),
     ]:
         kwargs = {"horizon": 2, field: value}
         with pytest.raises(InvalidInputError, match=field):

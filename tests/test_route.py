@@ -211,8 +211,9 @@ def test_network_validation():
 
 
 def test_constructors_reject_non_finite_fields_by_name():
-    # The file loaders reject these through _json_number; the dataclasses
-    # must too, or they surface later as a NaN or infinite cost bound.
+    # The file loaders pass their values to these constructors, whose number
+    # rule (core._number) rejects them before they surface as a NaN or
+    # infinite cost bound.
     good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
                 paths=((0, 1),), demand=100)
     nan, inf = float("nan"), float("inf")
@@ -228,11 +229,29 @@ def test_constructors_reject_non_finite_fields_by_name():
 def test_constructors_reject_non_numeric_fields_by_name():
     good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10],
                 paths=((0, 1),), demand=100)
-    for value in ("5", None):
+    for value in ("5", None, True):
         with pytest.raises(InvalidInputError, match="demand must be a number"):
             RoadNetwork(**{**good, "demand": value})
-    with pytest.raises(InvalidInputError, match="epsilon must be a number"):
-        RouteInertiaSpec("indicator", "1.0")
+    for value in ("1.0", True):
+        with pytest.raises(InvalidInputError, match="epsilon must be a number"):
+            RouteInertiaSpec("indicator", value)
+
+
+def test_network_reads_path_indices_as_integers():
+    # A path index is an int field: an integral float is its int, and a bool,
+    # a fraction or a string is rejected by the name paths, never handed to
+    # numpy's indexing.
+    good = dict(capacity=[500, 500], coef=[0.2, 0.2], free_flow=[10, 10], demand=100)
+    net = RoadNetwork(**good, paths=[[0.0, np.int64(1)], [1.0]])
+    assert net.paths == ((0, 1), (1,))
+    assert all(type(i) is int for p in net.paths for i in p)
+    assert net.incidence.tolist() == [[1.0, 1.0], [0.0, 1.0]]
+    for paths in ([[True]], [[0, False]], [[0.5]], [["1"]], [[None]]):
+        with pytest.raises(InvalidInputError, match="paths must be"):
+            RoadNetwork(**good, paths=paths)
+    for paths in ([[2.0]], [[-1]]):
+        with pytest.raises(InvalidInputError, match="references an unknown link"):
+            RoadNetwork(**good, paths=paths)
 
 
 def test_network_rejects_non_numeric_link_entries_by_name():

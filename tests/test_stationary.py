@@ -359,6 +359,9 @@ def test_augmented_profile_generic_not_flat_and_validation():
     for theta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(InvalidInputError, match="theta"):
             augmented_cost_profile(mu, f, theta)
+    for theta in ("1", None, True):
+        with pytest.raises(InvalidInputError, match="theta must be a number"):
+            augmented_cost_profile(mu, f, theta)
 
 
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
@@ -445,6 +448,11 @@ def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
     for tol in (0.0, -1e-8, float("nan")):
         with pytest.raises(InvalidInputError, match="tol"):
             solve_smfe(route_cm_e1t1, tol=tol)
+    # A tolerance that is not a number names tol, in both Newton solvers.
+    for solver in (solve_smfe, logit_sue):
+        for tol in ("1e-8", None, True):
+            with pytest.raises(InvalidInputError, match="tol must be a number"):
+                solver(route_cm_e1t1, tol=tol)
 
 
 @pytest.mark.parametrize("name", ["route_e1t1", "route_e0t1", "route_e0t20"])
