@@ -13,6 +13,7 @@ The only environment knob is MFG_LOG (off|info|debug) for log verbosity.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import logging
 import os
@@ -258,8 +259,8 @@ def _augmented_flatness(avg_mf, cm):
     return out
 
 
-def _solve_fp(cfg: ExperimentConfig, out_dir):
-    """Shared start of ``run`` and ``smfe``: scenario, output directory, FP solve."""
+def _prepare(cfg: ExperimentConfig, out_dir):
+    """Shared start of ``run`` and ``smfe``: scenario, initial split, output directory."""
     cm, scen = build_scenario(cfg)
     mu0 = _resolve_mu0(cfg, cm.M)
     out = Path(out_dir) if out_dir is not None else cfg.output_path
@@ -267,7 +268,11 @@ def _solve_fp(cfg: ExperimentConfig, out_dir):
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("outputs", f"cannot create {out}: {exc.strerror}") from exc
-    report = fictitious_play(
+    return cm, scen, mu0, out
+
+
+def _solve_fp(cfg: ExperimentConfig, cm, mu0):
+    return fictitious_play(
         cm,
         FPConfig(
             mu0=mu0,
@@ -276,7 +281,45 @@ def _solve_fp(cfg: ExperimentConfig, out_dir):
             exploitability_tol=cfg.exploitability_tol,
         ),
     )
-    return cm, scen, mu0, out, report
+
+
+def _sha256():
+    # CPython's builtin sha256 where the interpreter has one: hashlib maps
+    # OpenSSL into the process, 3.5 MB of resident memory for a few kB hashed.
+    for module in ("_sha2", "_sha256", "hashlib"):
+        try:
+            return importlib.import_module(module).sha256()
+        except ImportError:
+            pass
+
+
+def _trajectory_key(cfg: ExperimentConfig, trace: bytes) -> str:
+    """sha256 of what fixes ``mf_trace.csv``: the config, the scenario file and the trace itself."""
+    h = _sha256()
+    config = json.dumps(cfg.to_dict(), sort_keys=True).encode()
+    # Each part goes in after its length, so bytes moved from one part to
+    # the next change the key.
+    for part in (config, cfg.scenario_path.read_bytes(), trace):
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def _reused_trajectory(cfg: ExperimentConfig, out: Path, shape):
+    """The mean field trajectory ``run`` wrote to ``out``, or None.
+
+    Reused only while ``report.json``'s key matches the config, scenario and
+    trace on disk now; ``%.17g`` reads back to the very doubles FP returned.
+    """
+    try:
+        key = json.loads((out / "report.json").read_text())["trajectory_sha256"]
+        trace = (out / "mf_trace.csv").read_bytes()
+        if key != _trajectory_key(cfg, trace):
+            return None
+        avg_mf = np.loadtxt(trace.decode().splitlines(), delimiter=",", ndmin=2)
+    except (OSError, ValueError, LookupError, TypeError):
+        return None
+    return avg_mf if avg_mf.shape == shape else None
 
 
 def _solve_stationary(cm):
@@ -300,9 +343,11 @@ def _solve_stationary(cm):
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run the configured experiment and write its artifact files."""
     started = time.perf_counter()
-    cm, scen, mu0, out, report = _solve_fp(cfg, out_dir)
+    cm, scen, mu0, out = _prepare(cfg, out_dir)
+    report = _solve_fp(cfg, cm, mu0)
 
     write_csv(report.avg_mf, out / "mf_trace.csv")
+    trajectory_key = _trajectory_key(cfg, (out / "mf_trace.csv").read_bytes())
     write_csv(report.value_seq, out / "values.csv")
     days = [0, cfg.horizon - 1] if cfg.policy_days is None else cfg.policy_days
     for n in sorted(set(days)):
@@ -341,6 +386,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
             ),
             "runtime_seconds": runtime,
             "config": cfg.to_dict(),
+            "trajectory_sha256": trajectory_key,
         },
         out / "report.json",
     )
@@ -349,8 +395,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 
 
 def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Solve the stationary pair, compare with the day-to-day run, write smfe.json."""
-    cm, _, _, out, report = _solve_fp(cfg, out_dir)
+    """Solve the stationary pair, compare with the day-to-day run, write smfe.json.
+
+    The day-to-day run is the one ``run`` left in the output directory when
+    its key still matches, else a fresh FP solve, which a failed stationary
+    solve skips.
+    """
+    cm, _, mu0, out = _prepare(cfg, out_dir)
     payload, pair = _solve_stationary(cm)
     if pair is None:
         logger.warning(
@@ -358,7 +409,10 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         )
         dump_json(payload, out / "smfe.json")
         return 2
-    payload["df_per_day"] = np.abs(report.avg_mf - pair.mu_bar).max(axis=1)
+    avg_mf = _reused_trajectory(cfg, out, (cfg.horizon, cm.M))
+    if avg_mf is None:
+        avg_mf = _solve_fp(cfg, cm, mu0).avg_mf
+    payload["df_per_day"] = np.abs(avg_mf - pair.mu_bar).max(axis=1)
     if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
         payload["value_gap_check"] = value_gap_check(pair, cm)
     if cfg.scenario == "route" and cfg.epsilon == 0.0:

@@ -89,16 +89,14 @@ def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
     length is accepted: ``(M,)`` for one day's split, ``(N, M)`` for a mean
     field sequence, ``(M, M)`` for a policy, ``(N, M, M)`` for a policy
     sequence.  Entries must be finite and non-negative, and every row must
-    sum to 1 within DIST_TOL.
+    sum to 1 within DIST_TOL.  Entries are numbers by ``_number``'s rule.
     """
-    arr = np.asarray(x, dtype=float)
+    arr = _numbers(x, name)
     if arr.shape != shape and (
         arr.ndim != len(shape)
         or any(want not in (None, got) for want, got in zip(shape, arr.shape))
     ):
         raise InvalidInputError(f"{name} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvalidInputError(f"{name} contains non-finite entries")
     if (arr < 0.0).any():
         raise InvalidInputError(f"{name} has negative entries")
     if not (np.abs(arr.sum(axis=-1) - 1.0) <= DIST_TOL).all():
@@ -131,9 +129,9 @@ def _numbers(values, name: str) -> np.ndarray:
     # _number entry by entry, as a float array: an ndarray of a real dtype in
     # one check, anything else entry by entry, since numpy reads True as 1.
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
-        bad = ~np.isfinite(values)
-        if bad.any():
-            raise InvalidInputError(f"{name} must be finite, got {values[bad][0].item()!r}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise InvalidInputError(f"{name} must be finite, got {values[~finite][0].item()!r}")
         return values.astype(float, copy=False)
     entries = np.array(values, dtype=object)
     return np.array([_number(v, name) for v in entries.flat]).reshape(entries.shape)
@@ -244,11 +242,9 @@ def bellman_apply(v_next, mu, cm: CostModel):
     exp(-theta (d(s,x) + v_next(x)))`` and row ``s`` of ``pi`` is proportional
     to ``exp(-theta (d(s,x) + v_next(x)))``.
     """
-    v_next = np.asarray(v_next, dtype=float)
+    v_next = _numbers(v_next, "value vector")
     if v_next.shape != (cm.M,):
         raise InvalidInputError(f"value vector must have shape ({cm.M},)")
-    if not np.all(np.isfinite(v_next)):
-        raise InvalidInputError("value vector contains non-finite entries")
     mu = check_stochastic(mu, "mean field", (cm.M,))
     soft, u, z = _soft_backup(cm.kernel, v_next, cm.theta)
     return cm.cost(mu) + soft, _softmax_policies(cm.kernel, u, z)

@@ -49,7 +49,12 @@ class RoadNetwork:
         self.coef = _numbers(self.coef, "coef")
         self.free_flow = _numbers(self.free_flow, "free_flow")
         self.demand = _number(self.demand, "demand")
-        self.paths = tuple(tuple(_number(i, "paths", int) for i in p) for p in self.paths)
+        try:
+            self.paths = tuple(tuple(_number(i, "paths", int) for i in p) for p in self.paths)
+        except TypeError:  # a path, or paths itself, is not a sequence
+            raise InvalidInputError(
+                f"paths must be a list of link-index lists, got {self.paths!r}"
+            ) from None
         n_links = self.capacity.size
         if not self.capacity.shape == self.coef.shape == self.free_flow.shape == (n_links,):
             raise InvalidInputError("capacity, coef and free_flow need one entry per link")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -413,7 +414,11 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
     def failing_solve(cm, **budget):
         raise SolverFailure("stationary solve stopped", residual=0.25, payload=payload)
 
+    def no_fp(cm, cfg):
+        raise AssertionError("smfe ran fictitious play after the stationary solve failed")
+
     monkeypatch.setattr("mfgcommute.cli.solve_smfe", failing_solve)
+    monkeypatch.setattr("mfgcommute.cli.fictitious_play", no_fp)
     out = tmp_path / "out"
     path = write_config(tmp_path, route_config(
         repo_root, out, solver={"max_iters": 5, "exploitability_tol": 1e-9}))
@@ -425,6 +430,99 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
         assert np.array_equal(doc[key], payload[key])
     for key in ("lambda_bar", "r1", "r2"):
         assert doc[key] == payload[key]
+
+
+def count_fp_calls(monkeypatch):
+    from mfgcommute import cli
+
+    calls = []
+    solve = cli.fictitious_play
+
+    def counted(cm, cfg):
+        calls.append(cfg)
+        return solve(cm, cfg)
+
+    monkeypatch.setattr(cli, "fictitious_play", counted)
+    return calls
+
+
+def test_smfe_reuses_the_trajectory_run_wrote(tmp_path, repo_root, monkeypatch):
+    # smfe alone solves FP itself; after run into the same directory it reads
+    # run's mf_trace.csv instead, and writes the same bytes.
+    alone = tmp_path / "alone"
+    path = write_config(tmp_path, route_config(repo_root, alone))
+    assert main(["smfe", "--config", str(path)]) == 0
+
+    shared = tmp_path / "shared"
+    assert main(["run", "--config", str(path), "--out", str(shared)]) == 0
+    # The key is the sha256 of the config echo, the scenario file and the
+    # trace, each prefixed by its length.
+    key = hashlib.sha256()
+    config = json.dumps(load_config(path).to_dict(), sort_keys=True).encode()
+    scenario = (repo_root / "scenarios" / "grid9.json").read_bytes()
+    for part in (config, scenario, (shared / "mf_trace.csv").read_bytes()):
+        key.update(len(part).to_bytes(8, "little") + part)
+    report = json.loads((shared / "report.json").read_text())
+    assert report["trajectory_sha256"] == key.hexdigest()
+    calls = count_fp_calls(monkeypatch)
+    assert main(["smfe", "--config", str(path), "--out", str(shared)]) == 0
+    assert calls == []
+    assert (shared / "smfe.json").read_bytes() == (alone / "smfe.json").read_bytes()
+
+
+# Each change edits the files of a finished run and returns config overrides.
+def change_solver_budget(out, scenario):
+    return {"solver": {"max_iters": 30, "exploitability_tol": 1e-9}}
+
+
+def change_scenario(out, scenario):
+    net = json.loads(scenario.read_text())
+    net["links"][0]["c"] *= 2
+    scenario.write_text(json.dumps(net))
+    return {}
+
+
+def edit_trace(out, scenario):
+    trace = out / "mf_trace.csv"
+    trace.write_text("".join(trace.read_text().splitlines(keepends=True)[::-1]))
+    return {}
+
+
+def delete_trace(out, scenario):
+    (out / "mf_trace.csv").unlink()
+    return {}
+
+
+def delete_key(out, scenario):
+    report = json.loads((out / "report.json").read_text())
+    del report["trajectory_sha256"]
+    (out / "report.json").write_text(json.dumps(report))
+    return {}
+
+
+@pytest.mark.parametrize("change", [change_solver_budget, change_scenario, edit_trace,
+                                    delete_trace, delete_key],
+                         ids=["max-iters", "scenario", "trace-edited", "trace-deleted",
+                              "no-key"])
+def test_smfe_solves_fp_when_the_run_does_not_match(tmp_path, repo_root, monkeypatch,
+                                                    change):
+    # Any change to what fixed run's trajectory, or to the trace itself, sends
+    # smfe back to its own FP solve, and smfe.json is what smfe alone writes.
+    scenario = tmp_path / "net.json"
+    scenario.write_text((repo_root / "scenarios" / "grid9.json").read_text())
+    out = tmp_path / "out"
+    cfg = route_config(repo_root, out, scenario_file=str(scenario))
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+
+    path = write_config(tmp_path, {**cfg, **change(out, scenario)}, "changed.json")
+    calls = count_fp_calls(monkeypatch)
+    assert main(["smfe", "--config", str(path)]) == 0
+    assert len(calls) == 1
+
+    alone = tmp_path / "alone"
+    assert main(["smfe", "--config", str(path), "--out", str(alone)]) == 0
+    assert len(calls) == 2
+    assert (out / "smfe.json").read_bytes() == (alone / "smfe.json").read_bytes()
 
 
 @pytest.mark.parametrize("epsilon, code", [(1.0, 2), (0.0, 0)],
@@ -449,15 +547,15 @@ def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
     assert (max(doc["r1"], doc["r2"]) <= 1e-8) is (code == 0)
 
 
-def scipy_modules_after(repo_root, script):
-    # The scipy modules a fresh interpreter holds after running ``script``
-    # against this checkout's package.
+def modules_after(repo_root, script, top="scipy"):
+    # The modules under ``top`` that a fresh interpreter holds after running
+    # ``script`` against this checkout's package.
     import os
     import subprocess
     import sys
 
     script = ("import sys\n" + script
-              + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+              + f"print(sorted(m for m in sys.modules if m.split('.')[0] == {top!r}))\n")
     paths = [str(repo_root / "src"), os.environ.get("PYTHONPATH", "")]
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -478,8 +576,25 @@ def test_run_and_smfe_import_no_scipy_solver(tmp_path, repo_root):
         f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
         f"assert main(['smfe', '--config', {str(path)!r}]) == 0\n"
     )
-    assert scipy_modules_after(repo_root, script) == "[]"
+    assert modules_after(repo_root, script) == "[]"
     assert json.loads((out / "smfe.json").read_text())["df_to_logit_sue"] <= 1e-7
+
+
+def test_run_and_smfe_map_no_openssl(tmp_path, repo_root):
+    # The trajectory key comes from the interpreter's builtin sha256: hashlib
+    # would map OpenSSL, about 3.5 MB, into every command for a few kB hashed.
+    import importlib.util
+
+    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
+        pytest.skip("this interpreter has no builtin sha256")
+    out = tmp_path / "out"
+    path = write_config(tmp_path, route_config(repo_root, out))
+    script = (
+        "from mfgcommute.cli import main\n"
+        f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
+        f"assert main(['smfe', '--config', {str(path)!r}]) == 0\n"
+    )
+    assert modules_after(repo_root, script, "_hashlib") == "[]"
 
 
 def test_package_import_and_bottleneck_run_load_no_scipy(tmp_path, repo_root):
@@ -493,7 +608,7 @@ def test_package_import_and_bottleneck_run_load_no_scipy(tmp_path, repo_root):
         "from mfgcommute.cli import main\n"
         f"assert main(['run', '--config', {str(path)!r}]) == 0\n"
     )
-    assert scipy_modules_after(repo_root, script) == "[]"
+    assert modules_after(repo_root, script) == "[]"
     assert (out / "diagnostics.json").exists()
 
 

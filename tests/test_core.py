@@ -128,6 +128,19 @@ def test_check_distribution_rejects_negative_and_unnormalized():
                           [0.25, 0.75])
 
 
+def test_check_stochastic_reads_entries_by_the_number_rule():
+    # A bool or a numeric string is not a probability, even where numpy would
+    # read it as one; a ragged row is not a number either.  Each names the field.
+    for bad in (["0.5", "0.5"], [True, False], np.array([True, False]), [0.5, None],
+                [[0.5, 0.5], [1.0]]):
+        with pytest.raises(InvalidInputError, match="mu0 must be a number"):
+            check_stochastic(bad, "mu0", (None,))
+    for bad in ([np.nan, 1.0], np.array([np.inf, 0.0])):
+        with pytest.raises(InvalidInputError, match="mu0 must be finite"):
+            check_stochastic(bad, "mu0", (None,))
+    assert check_stochastic(np.array([1, 0]), "mu0", (2,)).dtype == np.float64
+
+
 def test_check_policy_rejects_bad_rows():
     with pytest.raises(InvalidInputError):
         check_stochastic([[0.5, 0.6], [0.5, 0.5]], "policy", (2, 2))
@@ -239,6 +252,11 @@ def test_bellman_rejects_bad_inputs():
         bellman_apply(np.zeros(3), uniform_distribution(2), cm)
     with pytest.raises(InvalidInputError):
         bellman_apply(np.zeros(2), uniform_distribution(3), cm)
+    for bad in (["0", "0"], [True, False], np.array([False, False]), [0.0, None]):
+        with pytest.raises(InvalidInputError, match="value vector must be a number"):
+            bellman_apply(bad, uniform_distribution(2), cm)
+    with pytest.raises(InvalidInputError, match="value vector must be finite"):
+        bellman_apply([0.0, np.inf], uniform_distribution(2), cm)
 
 
 def test_bellman_policy_strictly_positive():

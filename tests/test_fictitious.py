@@ -122,6 +122,12 @@ def test_fp_config_validation():
         kwargs = {"horizon": 2, field: value}
         with pytest.raises(InvalidInputError, match=field):
             FPConfig(mu0=uniform_distribution(3), **kwargs)
+    # The initial split and policy are read by the same rule.
+    for mu0 in ([True, False], ["0.5", "0.5"]):
+        with pytest.raises(InvalidInputError, match="initial distribution must be a number"):
+            FPConfig(mu0=mu0, horizon=2)
+    with pytest.raises(InvalidInputError, match="initial policy must be a number"):
+        FPConfig(mu0=[1.0, 0.0], horizon=1, initial_policy=[[[True, False], [False, True]]])
     cfg = FPConfig(mu0=uniform_distribution(3), horizon=2.0, max_iters=np.int64(3))
     assert (cfg.horizon, cfg.max_iters) == (2, 3)
     assert type(cfg.horizon) is int and type(cfg.max_iters) is int

@@ -252,6 +252,10 @@ def test_network_reads_path_indices_as_integers():
     for paths in ([[2.0]], [[-1]]):
         with pytest.raises(InvalidInputError, match="references an unknown link"):
             RoadNetwork(**good, paths=paths)
+    # A flat list of indices, or a bare index, is not a list of paths.
+    for paths in ([0, 1], [[0], 1], 5, np.array([0, 1])):
+        with pytest.raises(InvalidInputError, match="paths must be a list of link-index lists"):
+            RoadNetwork(**good, paths=paths)
 
 
 def test_network_rejects_non_numeric_link_entries_by_name():
