@@ -27,6 +27,16 @@ M = 6), and a 30-day propagation with its renormalization 161 against
 rounding: within 2.2e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20 over
 100 iterations.
 
+With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
+one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
+for a scalar g_n, and the pushed flow u_n * k / z_n does not depend on mu_n.
+The sweep and the push then take no day loop: each of their stages is one
+call over all N days (``core._backward_induction_core``).  On the same
+machine one iteration takes 79 us against 250 us through the day loop on
+route_e0t1 (78 against 262 on route_e0t20, 325 against 543 on
+bottleneck_e0t20), and the results equal the day loop's up to rounding.
+Every epsilon > 0 config runs the day loop.
+
 Consistency also prices the average policy without a backward sweep.  With
 k iterates folded into the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
 pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s), its cost from mu0 is
@@ -182,7 +192,7 @@ def exploitability(pi, mu, cm: CostModel, mu0) -> float:
     if dist_distance(forward_propagate(pi, mu0), mu) > 1e-8:
         raise InvalidInputError("mean field is not the flow induced by the policy")
     f_table = cm.cost(mu)
-    br_values = _backward_induction_core(f_table, cm.kernel, cm.theta)[0]
+    br_values = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)[0]
     return _gap(pi, f_table, br_values, cm, mu0)
 
 
@@ -214,7 +224,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     # the final gap.
     for j in range(1, cfg.max_iters + 2):
         f_table = cm.cost(avg_mf)
-        br_values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
+        br_values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
         if j > 1:
             k = j - 1
             held = (
@@ -231,7 +241,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
             converged = gap <= cfg.exploitability_tol
             if converged or j > cfg.max_iters:
                 break
-        induced = _forward_propagate_core(cm.kernel, u, z, cfg.mu0)
+        induced = _forward_propagate_core(cm.kernel, u, z, cfg.mu0, cm.kernel_row)
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * induced
         # Fold into the occupancy sums: the best response's policies are
         # formed only here, in one buffer per run, and weighted in place.

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import xlogy
 
 from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
+from mfgcommute.cli import build_scenario, load_config
 from mfgcommute.core import (
     KERNEL_LIMIT,
     CostModel,
@@ -272,11 +273,22 @@ def oracle_models(grid9, repo_root):
     rng = np.random.default_rng(16)
     models = [random_cost_model(rng, m, theta=float(rng.uniform(0.3, 5.0)))
               for m in (2, 3, 5, 8)]
+    models.append(separable_cost_model(rng, 5, theta=3.0))
     models.append(route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0)))
     spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
     models.append(bottleneck_cost_model(spec, 20.0))
     models.append(at_kernel_limit())
     return models
+
+
+def separable_cost_model(rng, m, theta):
+    # d(s, x) = b(x) with b != 0: every row of the kernel is exp(-theta b),
+    # so the cores take their batched branch.
+    b = rng.random(m)
+    cm = make_table_cost_model(rng.random(m), np.tile(b, (m, 1)), theta,
+                               rng.random((m, m)) / m)
+    assert cm.kernel_row is not None
+    return cm
 
 
 def at_kernel_limit():
@@ -317,10 +329,17 @@ def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root
         f_table = cm.cost(mu)
         for n in range(len(mu)):
             assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
-            # One backup formula: day n of the sweep is bellman_apply, bit for bit.
+            # One backup formula: day n of the day loop is bellman_apply, bit
+            # for bit.  The batched branch of a separable model forms u from
+            # f, not from V = f + g, so it equals bellman_apply up to rounding.
             value, policy = bellman_apply(values[n + 1], mu[n], cm)
-            assert np.array_equal(values[n], value)
-            assert np.array_equal(policies[n], policy)
+            if cm.kernel_row is None:
+                assert np.array_equal(values[n], value)
+                assert np.array_equal(policies[n], policy)
+            else:
+                scale = np.finfo(float).eps * np.abs(values).max()
+                assert np.max(np.abs(values[n] - value)) <= 32 * scale
+                assert np.max(np.abs(policies[n] - policy)) <= 4 * cm.theta * scale
             assert not np.shares_memory(policy, cm.kernel)
         # Both build their policies in place; never in the shared kernel.
         assert not np.shares_memory(policies, cm.kernel)
@@ -421,8 +440,8 @@ def test_kernel_form_push_matches_the_explicit_policies(grid9, repo_root):
         mu0 = random_distribution(rng, cm.M)
         mu0[rng.integers(cm.M)] = 0.0
         mu0 /= mu0.sum()
-        _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
-        got = _forward_propagate_core(cm.kernel, u, z, mu0)
+        _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
+        got = _forward_propagate_core(cm.kernel, u, z, mu0, cm.kernel_row)
         want = forward_propagate(backward_induction(mu, cm)[1], mu0)
         assert np.array_equal(got[0], mu0)
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -449,6 +468,86 @@ def test_kernel_form_push_drift_guard():
     _forward_propagate_core(cm.kernel, u, z, mu0)
     with pytest.raises(NumericError, match="mass drift"):
         _forward_propagate_core(cm.kernel, u, z * 1.01, mu0)
+    # The batched push of a separable model keeps the guard on every day.
+    cm = separable_cost_model(rng, 4, theta=1.5)
+    _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
+    _forward_propagate_core(cm.kernel, u, z, mu0, cm.kernel_row)
+    with pytest.raises(NumericError, match="mass drift"):
+        _forward_propagate_core(cm.kernel, u, z * 1.01, mu0, cm.kernel_row)
+
+
+SEPARABLE_CONFIGS = ("route_e0t1", "route_e0t20", "bottleneck_e0t20")
+
+
+def shipped_cost_model(repo_root, name):
+    cfg = load_config(repo_root / "configs" / f"{name}.json")
+    return cfg.horizon, build_scenario(cfg)[0]
+
+
+def assert_batched_matches_the_loop(cm, mu, mu0):
+    # The batched branch against the day loop on one cost table, within
+    # rounding: the loop forms u from V = f + g, so its u carries about theta
+    # ulps of max |V|, and the batched g sums N days.
+    f_table = cm.cost(mu)
+    values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
+    got_values, got_u, got_z = _backward_induction_core(
+        f_table, cm.kernel, cm.theta, cm.kernel_row)
+    scale = np.finfo(float).eps * max(1.0, np.abs(values).max())
+    assert got_values.shape == values.shape and got_z.shape == z.shape
+    assert np.array_equal(got_values[-1], values[-1])
+    assert np.max(np.abs(got_values - values)) <= 32 * scale
+    assert np.max(np.abs(got_u - u)) <= 4 * cm.theta * scale
+    assert np.max(np.abs(got_z / z - 1.0)) <= 4 * cm.theta * scale
+    pushed = _forward_propagate_core(cm.kernel, got_u, got_z, mu0, cm.kernel_row)
+    assert np.array_equal(pushed[0], mu0)
+    want = _forward_propagate_core(cm.kernel, u, z, mu0)
+    assert np.max(np.abs(pushed - want)) <= 4 * cm.theta * scale
+
+
+def test_separable_branch_matches_the_day_loop(repo_root):
+    rng = np.random.default_rng(21)
+    for name in SEPARABLE_CONFIGS:
+        horizon, cm = shipped_cost_model(repo_root, name)
+        for _ in range(5):
+            mu = rng.dirichlet(np.ones(cm.M), size=horizon)
+            assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(cm.M)))
+    # Random separable models with b != 0, down to one option and one day.
+    for m in (1, 2, 5, 12):
+        for horizon in (1, 2, 30):
+            cm = separable_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)))
+            mu = rng.dirichlet(np.ones(m), size=horizon)
+            assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(m)))
+
+
+def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal(repo_root):
+    for name in SEPARABLE_CONFIGS + ("route_e1t1", "bottleneck_e1t20"):
+        _, cm = shipped_cost_model(repo_root, name)
+        if name in SEPARABLE_CONFIGS:
+            assert np.array_equal(cm.kernel, np.tile(cm.kernel_row, (cm.M, 1)))
+        else:
+            assert cm.kernel_row is None
+    # Rows that differ by one ulp in a single kernel entry are not equal: the
+    # cores then run the day loop and return its bits.
+    rng = np.random.default_rng(22)
+    b = rng.random(4)
+    d = np.tile(b, (4, 1))
+    while True:
+        d[2, 1] = np.nextafter(d[2, 1], 1.0)
+        cm = make_table_cost_model(rng.random(4), d, 3.0, rng.random((4, 4)) / 4)
+        if cm.kernel[2, 1] != cm.kernel[0, 1]:
+            break
+    assert cm.kernel[2, 1] == np.nextafter(cm.kernel[0, 1], 0.0)
+    assert np.array_equal(np.delete(cm.kernel, 2, axis=0), np.tile(cm.kernel[0], (3, 1)))
+    assert cm.kernel_row is None
+    mu = rng.dirichlet(np.ones(4), size=6)
+    mu0 = rng.dirichlet(np.ones(4))
+    loop = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+    got = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
+    assert all(np.array_equal(a, b) for a, b in zip(got, loop))
+    assert np.array_equal(
+        _forward_propagate_core(cm.kernel, *got[1:], mu0, cm.kernel_row),
+        _forward_propagate_core(cm.kernel, *loop[1:], mu0))
+    assert np.array_equal(backward_induction(mu, cm)[0], loop[0])
 
 
 def test_operators_reject_shapes_that_do_not_match_the_model():

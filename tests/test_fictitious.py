@@ -226,17 +226,20 @@ def test_incremental_average_matches_rescan(monkeypatch, route_cm_e1t1, grid9_mu
     assert np.array_equal(run(1).avg_mf, first_flow)
 
 
-def test_fictitious_play_leaves_its_inputs_unchanged(route_cm_e1t1, grid9_mu0):
+def test_fictitious_play_leaves_its_inputs_unchanged(route_cm_e1t1, route_cm_e0t1, grid9_mu0):
     # The loop folds each best response into its sums in place; no array of
-    # the caller's may take part in that.
-    cm = route_cm_e1t1
-    start = np.random.default_rng(7).dirichlet(np.ones(cm.M), size=(30, cm.M))
-    cfg = FPConfig(mu0=grid9_mu0, horizon=30, max_iters=5, exploitability_tol=1e-12,
-                   initial_policy=start)
-    inputs = (cfg.mu0, cfg.initial_policy, cm.kernel, cm.inertia_matrix)
-    snapshot = [a.copy() for a in inputs]
-    fictitious_play(cm, cfg)
-    assert all(np.array_equal(a, was) for a, was in zip(inputs, snapshot))
+    # the caller's may take part in that, on the day loop (route_e1t1) or the
+    # batched branch of a separable model (route_e0t1).
+    for cm in (route_cm_e1t1, route_cm_e0t1):
+        start = np.random.default_rng(7).dirichlet(np.ones(cm.M), size=(30, cm.M))
+        cfg = FPConfig(mu0=grid9_mu0, horizon=30, max_iters=5, exploitability_tol=1e-12,
+                       initial_policy=start)
+        inputs = (cfg.mu0, cfg.initial_policy, cm.kernel, cm.inertia_matrix)
+        if cm.kernel_row is not None:
+            inputs += (cm.kernel_row,)
+        snapshot = [a.copy() for a in inputs]
+        fictitious_play(cm, cfg)
+        assert all(np.array_equal(a, was) for a, was in zip(inputs, snapshot))
 
 
 @pytest.mark.parametrize("case", ["route_e1t1", "bottleneck_e1t20", "table_with_empty_rows"])
