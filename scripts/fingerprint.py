@@ -19,10 +19,6 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
 - ``bellman/<config>``: the public table builders on each shipped config,
   ``bellman_apply`` at one random (V, mu) and ``backward_induction`` at one
   random mean field sequence, drawn from ``np.random.default_rng(0)``.
-- ``cli/<config>``: the bytes of ``smfe.json`` on each route config, its FP
-  budget cut to 300 iterations, after ``run`` then ``smfe`` into one
-  directory; the script stops if ``smfe`` alone, in a fresh directory,
-  writes other bytes.
 
 The script calls the package's public API only, so it can fingerprint a
 tree older than itself.
@@ -43,12 +39,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from mfgcommute import cli
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from mfgcommute.core import SolverFailure, backward_induction, bellman_apply
 from mfgcommute.fictitious import FPConfig, fictitious_play
@@ -93,25 +87,6 @@ def smfe_case(cm, **budget):
     return digest(p.V_bar, p.mu_bar, p.lambda_bar, p.pi_bar)
 
 
-def cli_case(name):
-    raw = json.loads((CONFIGS / f"{name}.json").read_text())
-    raw["scenario_file"] = str((CONFIGS / raw["scenario_file"]).resolve())
-    raw["solver"]["max_iters"] = 300
-    smfe = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        config = Path(tmp) / "config.json"
-        config.write_text(json.dumps(raw))
-        for case, commands in (("shared", ("run", "smfe")), ("alone", ("smfe",))):
-            out = Path(tmp) / case
-            codes = [cli.main([c, "--config", str(config), "--out", str(out)]) for c in commands]
-            if any(codes):
-                raise SystemExit(f"cli/{name}: {commands} exited {codes}")
-            smfe[case] = (out / "smfe.json").read_bytes()
-    if smfe["shared"] != smfe["alone"]:
-        raise SystemExit(f"cli/{name}: smfe.json after run differs from smfe alone")
-    return hashlib.sha256(smfe["shared"]).hexdigest()
-
-
 def main() -> None:
     models = {}
     for name in NAMES:
@@ -124,9 +99,6 @@ def main() -> None:
     for name, (_, cm) in models.items():
         hashes[f"smfe/{name}"] = smfe_case(cm)
         hashes[f"cap30/{name}"] = smfe_case(cm, max_outer=30, fallback=False)
-    for name in NAMES:
-        if name.startswith("route"):
-            hashes[f"cli/{name}"] = cli_case(name)
     hashes["damped/bottleneck_e1t20"] = smfe_case(
         models["bottleneck_e1t20"][1], damping=2.0**-9, max_outer=20, fallback=False)
     print(json.dumps(hashes, indent=1))

@@ -1,11 +1,13 @@
 """Configuration-driven experiment runner.
 
-Reads a JSON experiment config, runs the fictitious play solve for the
-configured scenario, and writes machine-readable traces: CSV matrices for
-day-by-day artifacts, JSON for scalar diagnostics.  CSV floats carry 17
-significant digits and JSON floats the shortest repr that reads back exactly,
-so every artifact round-trips exactly and reruns are byte-identical.  Exit
-codes: 0 success, 1 config error, 2 solver failure.
+Reads a JSON experiment config.  ``run`` solves fictitious play for the
+configured scenario and measures its trajectory against the stationary pair;
+``smfe`` solves that pair alone and never runs fictitious play.  Both write
+machine-readable traces: CSV matrices for day-by-day artifacts, JSON for
+scalar diagnostics.  CSV floats carry 17 significant digits and JSON floats
+the shortest repr that reads back exactly, so every artifact round-trips
+exactly and reruns are byte-identical.  Exit codes: 0 success, 1 config
+error, 2 solver failure.
 
 The only environment knob is MFG_LOG (off|info|debug) for log verbosity.
 """
@@ -13,7 +15,6 @@ The only environment knob is MFG_LOG (off|info|debug) for log verbosity.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import logging
 import os
@@ -271,57 +272,6 @@ def _prepare(cfg: ExperimentConfig, out_dir):
     return cm, scen, mu0, out
 
 
-def _solve_fp(cfg: ExperimentConfig, cm, mu0):
-    return fictitious_play(
-        cm,
-        FPConfig(
-            mu0=mu0,
-            horizon=cfg.horizon,
-            max_iters=cfg.max_iters,
-            exploitability_tol=cfg.exploitability_tol,
-        ),
-    )
-
-
-def _sha256():
-    # CPython's builtin sha256 where the interpreter has one: hashlib maps
-    # OpenSSL into the process, 3.5 MB of resident memory for a few kB hashed.
-    for module in ("_sha2", "_sha256", "hashlib"):
-        try:
-            return importlib.import_module(module).sha256()
-        except ImportError:
-            pass
-
-
-def _trajectory_key(cfg: ExperimentConfig, trace: bytes) -> str:
-    """sha256 of what fixes ``mf_trace.csv``: the config, the scenario file and the trace itself."""
-    h = _sha256()
-    config = json.dumps(cfg.to_dict(), sort_keys=True).encode()
-    # Each part goes in after its length, so bytes moved from one part to
-    # the next change the key.
-    for part in (config, cfg.scenario_path.read_bytes(), trace):
-        h.update(len(part).to_bytes(8, "little"))
-        h.update(part)
-    return h.hexdigest()
-
-
-def _reused_trajectory(cfg: ExperimentConfig, out: Path, shape):
-    """The mean field trajectory ``run`` wrote to ``out``, or None.
-
-    Reused only while ``report.json``'s key matches the config, scenario and
-    trace on disk now; ``%.17g`` reads back to the very doubles FP returned.
-    """
-    try:
-        key = json.loads((out / "report.json").read_text())["trajectory_sha256"]
-        trace = (out / "mf_trace.csv").read_bytes()
-        if key != _trajectory_key(cfg, trace):
-            return None
-        avg_mf = np.loadtxt(trace.decode().splitlines(), delimiter=",", ndmin=2)
-    except (OSError, ValueError, LookupError, TypeError):
-        return None
-    return avg_mf if avg_mf.shape == shape else None
-
-
 def _solve_stationary(cm):
     """Stationary solve as a record, converged or not, plus the pair (None on failure)."""
     try:
@@ -344,10 +294,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run the configured experiment and write its artifact files."""
     started = time.perf_counter()
     cm, scen, mu0, out = _prepare(cfg, out_dir)
-    report = _solve_fp(cfg, cm, mu0)
+    report = fictitious_play(
+        cm,
+        FPConfig(
+            mu0=mu0,
+            horizon=cfg.horizon,
+            max_iters=cfg.max_iters,
+            exploitability_tol=cfg.exploitability_tol,
+        ),
+    )
 
     write_csv(report.avg_mf, out / "mf_trace.csv")
-    trajectory_key = _trajectory_key(cfg, (out / "mf_trace.csv").read_bytes())
     write_csv(report.value_seq, out / "values.csv")
     days = [0, cfg.horizon - 1] if cfg.policy_days is None else cfg.policy_days
     for n in sorted(set(days)):
@@ -361,7 +318,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
         "augmented_cost_flatness": _augmented_flatness(report.avg_mf, cm),
         "smfe": {
             **{key: smfe[key] for key in ("converged", "r1", "r2", "lambda_bar")},
-            "df_last_day": dist_distance(smfe["mu_bar"], report.avg_mf[-1]),
+            "df_per_day": np.abs(report.avg_mf - smfe["mu_bar"]).max(axis=1),
         },
         "omega_bound": {
             "passed": omega_bound_check(report.avg_mf, cm),
@@ -386,7 +343,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
             ),
             "runtime_seconds": runtime,
             "config": cfg.to_dict(),
-            "trajectory_sha256": trajectory_key,
         },
         out / "report.json",
     )
@@ -395,13 +351,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 
 
 def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
-    """Solve the stationary pair, compare with the day-to-day run, write smfe.json.
+    """Solve the stationary pair and write it, with its checks, to smfe.json.
 
-    The day-to-day run is the one ``run`` left in the output directory when
-    its key still matches, else a fresh FP solve, which a failed stationary
-    solve skips.
+    The day-to-day comparison, ``df_per_day``, is ``run``'s: ``smfe`` never
+    solves or reads the day-to-day trajectory.
     """
-    cm, _, mu0, out = _prepare(cfg, out_dir)
+    # mu0 goes unused, but _prepare still checks it: smfe rejects a config
+    # exactly as run does.
+    cm, _, _, out = _prepare(cfg, out_dir)
     payload, pair = _solve_stationary(cm)
     if pair is None:
         logger.warning(
@@ -409,10 +366,6 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         )
         dump_json(payload, out / "smfe.json")
         return 2
-    avg_mf = _reused_trajectory(cfg, out, (cfg.horizon, cm.M))
-    if avg_mf is None:
-        avg_mf = _solve_fp(cfg, cm, mu0).avg_mf
-    payload["df_per_day"] = np.abs(avg_mf - pair.mu_bar).max(axis=1)
     if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
         payload["value_gap_check"] = value_gap_check(pair, cm)
     if cfg.scenario == "route" and cfg.epsilon == 0.0:

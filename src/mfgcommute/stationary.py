@@ -31,6 +31,7 @@ from .core import (
     SolverFailure,
     _forward_step_core,
     _number,
+    _numbers,
     _soft_backup,
     _softmax_policies,
     _xlogx,
@@ -341,9 +342,12 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
     z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, mu(z) = softmax([0, z]),
     from the uniform distribution z = 0.  The inertia matrix is ignored.
     Certified by the residual d_f(mu, softmax(-theta f(mu))) <= ``tol``;
-    raises SolverFailure with that residual otherwise.
+    raises SolverFailure with that residual otherwise, and InvalidInputError
+    for a ``tol`` that is not positive.
     """
     tol = _number(tol, "tol")
+    if tol <= 0.0:
+        raise InvalidInputError("tol must be positive")
 
     def to_mu(z):
         return _softmax(np.concatenate([[0.0], z]))
@@ -434,7 +438,7 @@ def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
     if theta <= 0.0:
         raise InvalidInputError("theta must be positive")
     mu = check_stochastic(mu, "distribution", (None,))
-    v_or_f = np.asarray(v_or_f, dtype=float)
+    v_or_f = _numbers(v_or_f, "cost vector")
     if v_or_f.shape != mu.shape:
         raise InvalidInputError("cost vector and distribution shapes differ")
     if np.any(mu <= 0.0):

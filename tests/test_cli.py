@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -9,13 +8,14 @@ import pytest
 
 from mfgcommute.cli import (
     ConfigError,
+    build_scenario,
     compare_smfe,
     config_from_dict,
     load_config,
     main,
     run_experiment,
 )
-from mfgcommute.core import SolverFailure
+from mfgcommute.core import SolverFailure, dist_distance
 from mfgcommute.stationary import solve_smfe
 
 
@@ -144,7 +144,11 @@ def test_run_experiment_artifacts(tmp_path, repo_root):
     # theta * C is about 2077 here, so the bound underflows and says nothing.
     assert omega["bound_C"] * omega["theta"] > 2000.0
     assert omega["omega"] == 0.0 and omega["vacuous"] is True
-    assert "smfe" in diag
+    # run measures its own trajectory against the stationary pair, day by day.
+    df_per_day = diag["smfe"]["df_per_day"]
+    assert len(df_per_day) == 8
+    mu_bar = solve_smfe(build_scenario(cfg)[0]).mu_bar
+    assert df_per_day[-1] == dist_distance(mu_bar, mf[-1])
 
     report = json.loads((out / "report.json").read_text())
     assert report["consistency_residual"] <= 1e-10
@@ -175,7 +179,7 @@ def test_run_outputs_byte_identical(tmp_path, repo_root):
 
 def test_float_serialization_round_trips_exactly(tmp_path, repo_root):
     from mfgcommute.fictitious import FPConfig, fictitious_play
-    from mfgcommute.cli import build_scenario, _resolve_mu0
+    from mfgcommute.cli import _resolve_mu0
 
     out = tmp_path / "out"
     cfg = config_from_dict(route_config(repo_root, out), tmp_path)
@@ -389,7 +393,13 @@ def test_bottleneck_run(tmp_path, repo_root):
     assert "link_flow_trace" not in diag
 
 
-def test_smfe_command(tmp_path, repo_root):
+def no_fp(cm, cfg):
+    raise AssertionError("smfe ran fictitious play")
+
+
+def test_smfe_command(tmp_path, repo_root, monkeypatch):
+    # smfe solves the stationary pair alone: it has no path to fictitious play.
+    monkeypatch.setattr("mfgcommute.cli.fictitious_play", no_fp)
     out = tmp_path / "out"
     path = write_config(tmp_path, route_config(
         repo_root, out, epsilon=0.0, solver={"max_iters": 30, "exploitability_tol": 1e-9}))
@@ -399,7 +409,7 @@ def test_smfe_command(tmp_path, repo_root):
     assert doc["r1"] <= 1e-8 and doc["r2"] <= 1e-8
     assert doc["df_to_logit_sue"] <= 1e-7
     assert doc["value_gap_check"] is True
-    assert len(doc["df_per_day"]) == 8
+    assert "df_per_day" not in doc
 
 
 def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypatch):
@@ -413,9 +423,6 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
 
     def failing_solve(cm, **budget):
         raise SolverFailure("stationary solve stopped", residual=0.25, payload=payload)
-
-    def no_fp(cm, cfg):
-        raise AssertionError("smfe ran fictitious play after the stationary solve failed")
 
     monkeypatch.setattr("mfgcommute.cli.solve_smfe", failing_solve)
     monkeypatch.setattr("mfgcommute.cli.fictitious_play", no_fp)
@@ -432,106 +439,12 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
         assert doc[key] == payload[key]
 
 
-def count_fp_calls(monkeypatch):
-    from mfgcommute import cli
-
-    calls = []
-    solve = cli.fictitious_play
-
-    def counted(cm, cfg):
-        calls.append(cfg)
-        return solve(cm, cfg)
-
-    monkeypatch.setattr(cli, "fictitious_play", counted)
-    return calls
-
-
-def test_smfe_reuses_the_trajectory_run_wrote(tmp_path, repo_root, monkeypatch):
-    # smfe alone solves FP itself; after run into the same directory it reads
-    # run's mf_trace.csv instead, and writes the same bytes.
-    alone = tmp_path / "alone"
-    path = write_config(tmp_path, route_config(repo_root, alone))
-    assert main(["smfe", "--config", str(path)]) == 0
-
-    shared = tmp_path / "shared"
-    assert main(["run", "--config", str(path), "--out", str(shared)]) == 0
-    # The key is the sha256 of the config echo, the scenario file and the
-    # trace, each prefixed by its length.
-    key = hashlib.sha256()
-    config = json.dumps(load_config(path).to_dict(), sort_keys=True).encode()
-    scenario = (repo_root / "scenarios" / "grid9.json").read_bytes()
-    for part in (config, scenario, (shared / "mf_trace.csv").read_bytes()):
-        key.update(len(part).to_bytes(8, "little") + part)
-    report = json.loads((shared / "report.json").read_text())
-    assert report["trajectory_sha256"] == key.hexdigest()
-    calls = count_fp_calls(monkeypatch)
-    assert main(["smfe", "--config", str(path), "--out", str(shared)]) == 0
-    assert calls == []
-    assert (shared / "smfe.json").read_bytes() == (alone / "smfe.json").read_bytes()
-
-
-# Each change edits the files of a finished run and returns config overrides.
-def change_solver_budget(out, scenario):
-    return {"solver": {"max_iters": 30, "exploitability_tol": 1e-9}}
-
-
-def change_scenario(out, scenario):
-    net = json.loads(scenario.read_text())
-    net["links"][0]["c"] *= 2
-    scenario.write_text(json.dumps(net))
-    return {}
-
-
-def edit_trace(out, scenario):
-    trace = out / "mf_trace.csv"
-    trace.write_text("".join(trace.read_text().splitlines(keepends=True)[::-1]))
-    return {}
-
-
-def delete_trace(out, scenario):
-    (out / "mf_trace.csv").unlink()
-    return {}
-
-
-def delete_key(out, scenario):
-    report = json.loads((out / "report.json").read_text())
-    del report["trajectory_sha256"]
-    (out / "report.json").write_text(json.dumps(report))
-    return {}
-
-
-@pytest.mark.parametrize("change", [change_solver_budget, change_scenario, edit_trace,
-                                    delete_trace, delete_key],
-                         ids=["max-iters", "scenario", "trace-edited", "trace-deleted",
-                              "no-key"])
-def test_smfe_solves_fp_when_the_run_does_not_match(tmp_path, repo_root, monkeypatch,
-                                                    change):
-    # Any change to what fixed run's trajectory, or to the trace itself, sends
-    # smfe back to its own FP solve, and smfe.json is what smfe alone writes.
-    scenario = tmp_path / "net.json"
-    scenario.write_text((repo_root / "scenarios" / "grid9.json").read_text())
-    out = tmp_path / "out"
-    cfg = route_config(repo_root, out, scenario_file=str(scenario))
-    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
-
-    path = write_config(tmp_path, {**cfg, **change(out, scenario)}, "changed.json")
-    calls = count_fp_calls(monkeypatch)
-    assert main(["smfe", "--config", str(path)]) == 0
-    assert len(calls) == 1
-
-    alone = tmp_path / "alone"
-    assert main(["smfe", "--config", str(path), "--out", str(alone)]) == 0
-    assert len(calls) == 2
-    assert (out / "smfe.json").read_bytes() == (alone / "smfe.json").read_bytes()
-
-
 @pytest.mark.parametrize("epsilon, code", [(1.0, 2), (0.0, 0)],
                          ids=["bottleneck_e1t20", "bottleneck_e0t20"])
 def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
-    # The shipped bottleneck models (theta 20) under a short FP run.  With
-    # inertia the Newton solve stalls and fails fast; smfe.json then holds
-    # the pair it stalled at, with that pair's own residuals.
-    from mfgcommute.cli import build_scenario
+    # The shipped bottleneck models (theta 20).  With inertia the Newton
+    # solve stalls and fails fast; smfe.json then holds the pair it stalled
+    # at, with that pair's own residuals.
     from mfgcommute.core import bellman_apply
     from mfgcommute.stationary import StationaryPair, smfe_residuals
 
@@ -581,12 +494,8 @@ def test_run_and_smfe_import_no_scipy_solver(tmp_path, repo_root):
 
 
 def test_run_and_smfe_map_no_openssl(tmp_path, repo_root):
-    # The trajectory key comes from the interpreter's builtin sha256: hashlib
-    # would map OpenSSL, about 3.5 MB, into every command for a few kB hashed.
-    import importlib.util
-
-    if not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")):
-        pytest.skip("this interpreter has no builtin sha256")
+    # No command hashes anything, so none needs hashlib, which would map
+    # OpenSSL, about 3.5 MB of resident memory, into every command.
     out = tmp_path / "out"
     path = write_config(tmp_path, route_config(repo_root, out))
     script = (
@@ -655,7 +564,7 @@ def test_run_names_outputs_when_the_directory_cannot_be_made(tmp_path, repo_root
 
 
 def test_shipped_configs_validate(repo_root):
-    from mfgcommute.cli import build_scenario, _resolve_mu0
+    from mfgcommute.cli import _resolve_mu0
 
     names = sorted(p.name for p in (repo_root / "configs").glob("*.json"))
     assert names == ["bottleneck_e0t20.json", "bottleneck_e1t20.json",

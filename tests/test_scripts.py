@@ -33,7 +33,6 @@ def test_fingerprint_script_hashes_every_case(repo_root, capsys):
         [f"fp/{c}" for c in configs] + [f"fp-trace/{c}" for c in configs]
         + [f"smfe/{c}" for c in configs]
         + [f"cap30/{c}" for c in configs] + ["damped/bottleneck_e1t20"]
-        + [f"bellman/{c}" for c in configs]
-        + [f"cli/{c}" for c in configs if c.startswith("route")])
+        + [f"bellman/{c}" for c in configs])
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes.values())
     assert len(set(hashes.values())) == len(hashes)

@@ -362,6 +362,11 @@ def test_augmented_profile_generic_not_flat_and_validation():
     for theta in ("1", None, True):
         with pytest.raises(InvalidInputError, match="theta must be a number"):
             augmented_cost_profile(mu, f, theta)
+    # The cost vector follows the number rule too: no strings, no booleans,
+    # and no NaN to spread through the profile.
+    for costs in (["1", "2"], [True, False], [1.0, math.nan]):
+        with pytest.raises(InvalidInputError, match="cost vector"):
+            augmented_cost_profile([0.5, 0.5], costs, 1.0)
 
 
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
@@ -445,11 +450,12 @@ def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
 
 
 def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
-    for tol in (0.0, -1e-8, float("nan")):
-        with pytest.raises(InvalidInputError, match="tol"):
-            solve_smfe(route_cm_e1t1, tol=tol)
-    # A tolerance that is not a number names tol, in both Newton solvers.
+    # A tolerance that is not a positive number names tol, in both Newton
+    # solvers, before either solve starts.
     for solver in (solve_smfe, logit_sue):
+        for tol in (0.0, -1e-8, float("nan")):
+            with pytest.raises(InvalidInputError, match="tol"):
+                solver(route_cm_e1t1, tol=tol)
         for tol in ("1e-8", None, True):
             with pytest.raises(InvalidInputError, match="tol must be a number"):
                 solver(route_cm_e1t1, tol=tol)
