@@ -7,7 +7,6 @@ from .core import (
     SolverFailure,
     backward_induction,
     bellman_apply,
-    concavity_check,
     dist_distance,
     forward_propagate,
     forward_step,

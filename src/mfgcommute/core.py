@@ -45,7 +45,6 @@ __all__ = [
     "forward_step",
     "forward_propagate",
     "policy_evaluate",
-    "concavity_check",
 ]
 
 # Tolerance for "is a probability vector": entries >= 0, sum within 1e-12 of 1.
@@ -89,9 +88,12 @@ def check_stochastic(x, name: str, shape: tuple) -> np.ndarray:
     length is accepted: ``(M,)`` for one day's split, ``(N, M)`` for a mean
     field sequence, ``(M, M)`` for a policy, ``(N, M, M)`` for a policy
     sequence.  Entries must be finite and non-negative, and every row must
-    sum to 1 within DIST_TOL.  Entries are numbers by ``_number``'s rule.
+    sum to 1 within DIST_TOL.  Entries are numbers by ``_number``'s rule.  An
+    array with no entries, such as a sequence of no days, is rejected.
     """
     arr = _numbers(x, name)
+    if arr.size == 0:
+        raise InvalidInputError(f"{name} has no entries")
     if arr.shape != shape and (
         arr.ndim != len(shape)
         or any(want not in (None, got) for want, got in zip(shape, arr.shape))
@@ -214,12 +216,15 @@ def dist_distance(a, b) -> float:
     """Sup distance max |a - b| over all entries of two arrays of equal shape.
 
     The one metric of the game: between two distributions, two mean field
-    sequences or two policy sequences alike.
+    sequences or two policy sequences alike.  Entries are numbers by
+    ``_number``'s rule; arrays with no entries are rejected.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _numbers(a, "first array")
+    b = _numbers(b, "second array")
     if a.shape != b.shape:
         raise InvalidInputError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if a.size == 0:
+        raise InvalidInputError("dist_distance needs arrays with entries")
     return float(np.max(np.abs(a - b)))
 
 
@@ -428,28 +433,3 @@ def policy_evaluate(pi, mu, cm: CostModel) -> np.ndarray:
     mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
     pi = check_stochastic(pi, "policy sequence", (len(mu), cm.M, cm.M))
     return _policy_evaluate_core(pi, cm.cost(mu), cm.inertia_matrix, cm.theta)
-
-
-# ---------------------------------------------------------------------------
-# structural checks
-
-
-def concavity_check(v, v_alt, mu, cm: CostModel) -> bool:
-    """Concavity of the Bellman backup in the value argument.
-
-    With ``pi`` optimal for ``v``, checks (i) per state,
-    G v_alt(s) <= G v(s) + sum_x pi(x|s) (v_alt(x) - v(x)), and (ii) the
-    mu-weighted aggregate sum_s mu(s)(G v_alt - G v)(s)
-    <= sum_s (v_alt - v)(s) (K_pi mu)(s), both within a slack of 1e-9.
-    """
-    slack = 1e-9
-    g_v, pi = bellman_apply(v, mu, cm)
-    g_alt, _ = bellman_apply(v_alt, mu, cm)
-    v = np.asarray(v, dtype=float)
-    v_alt = np.asarray(v_alt, dtype=float)
-    mu = np.asarray(mu, dtype=float)  # validated by bellman_apply
-    diff = v_alt - v
-    per_state = g_alt <= g_v + (pi * diff[None, :]).sum(axis=1) + slack
-    pushed = _forward_step_core(pi, mu)
-    aggregate = float(np.sum(mu * (g_alt - g_v))) <= float(np.sum(diff * pushed)) + slack
-    return bool(np.all(per_state)) and aggregate

@@ -2,12 +2,12 @@
 
 A stationary pair is a value vector and a distribution such that one Bellman
 backup shifts the values by a single constant (so the induced policy is
-time-invariant) and that policy leaves the distribution invariant.  The
-solver finds both at once, by one Newton solve of the pair's equations in
-log form (the distribution as logits, its balance as log-sum-exps), so that
-the e^(-theta ...) masses of a stiff model neither underflow nor drop out of
-their rows.  Values are gauge-fixed to V(0) = 0 since the pair only pins
-values up to an additive constant.
+time-invariant) and that policy leaves the distribution invariant.  Given
+the values, the second condition fixes the distribution: it is the invariant
+law of the values' own softmax policy, one linear solve.  So the solver's
+only unknowns are the values, gauge-fixed to V(0) = 0 since the pair pins
+them only up to an additive constant, and one Newton solve of the first
+condition finds the pair.
 
 The diagnostics connect the stationary pair to classical within-day
 equilibrium notions: the logit equilibrium (the stationary distribution
@@ -115,15 +115,6 @@ def _stationary_distribution(pi):
     return nu / math.fsum(nu)
 
 
-def _logsumexp(a):
-    # ln sum exp(a) down axis 0, shifted by the largest term of each column.
-    # A Newton step of the pair evaluates this twice per Jacobian column, so
-    # it skips the argument checks and the signed and weighted forms of a
-    # general-purpose logsumexp.
-    top = a.max(axis=0)
-    return top + np.log(np.exp(a - top).sum(axis=0))
-
-
 def _softmax(a):
     # exp(a - max a) / sum over a vector: no exponent above 0, and the
     # largest term gives the sum at least 1.
@@ -182,31 +173,30 @@ def _newton(fun, x, what):
 
 
 def _pair_equations(cm):
-    """The stationary pair's equations in log form, and their unknowns' unpacking.
+    """The stationary pair's equations in the relative values alone, and the pair they build.
 
-    Unknowns x = (V(1..M-1), lambda, z(1..M-1)) with V(0) = 0 and
-    ln mu = (0, z) - logsumexp(0, z).  Rows: G V - V - lambda for every
-    state, then ln(K_pi mu) - ln mu for states 1..M-1 (state 0's balance
-    follows, as both laws sum to 1).  With c = min V and the normalizers Z
-    of ``_soft_backup``, ln (K_pi mu)(x) = theta (c - V(x))
-    + logsumexp_s(ln mu(s) - ln Z(s) - theta d(s, x)), so no mass
-    mu(s) pi(x|s) is formed: on the bottleneck such terms underflow.
+    Unknowns x = V(1..M-1), with V(0) = 0.  ``pair(x)`` gives (V, lambda,
+    pi, mu, G V): pi is the softmax policy of V, mu = K_pi mu its invariant
+    law (``_stationary_distribution``, one linear solve), G V the backup of V
+    against mu and lambda = (G V - V)(0).  The rows are (G V - V)(1..M-1)
+    - lambda, so state 0's row holds by the choice of lambda and the balance
+    K_pi mu = mu by the choice of mu.  That law is unique: every state moves
+    to the state of least V with probability at least e^-KERNEL_LIMIT / M > 0,
+    so the chain has one recurrent class.
     """
-    m, theta = cm.M, cm.theta
-    log_kernel = -theta * cm.inertia_matrix
-
-    def unpack(x):
-        logits = np.concatenate([[0.0], x[m:]])
-        return np.concatenate([[0.0], x[:m - 1]]), float(x[m - 1]), logits - _logsumexp(logits)
+    def pair(x):
+        v = np.concatenate([[0.0], x])
+        soft, u, z = _soft_backup(cm.kernel, v, cm.theta)
+        pi = _softmax_policies(cm.kernel, u, z)
+        mu = _stationary_distribution(pi)
+        backed = cm.cost(mu) + soft
+        return v, float(backed[0]), pi, mu, backed
 
     def equations(x):
-        v, lam, log_mu = unpack(x)
-        soft, _, z = _soft_backup(cm.kernel, v, theta)
-        log_pushed = (v.min() - v) * theta + _logsumexp((log_mu - np.log(z))[:, None] + log_kernel)
-        value_rows = cm.cost(np.exp(log_mu)) + soft - v - lam
-        return np.concatenate([value_rows, (log_pushed - log_mu)[1:]])
+        v, lam, _, _, backed = pair(x)
+        return backed[1:] - v[1:] - lam
 
-    return equations, unpack
+    return equations, pair
 
 
 def solve_smfe(
@@ -217,17 +207,19 @@ def solve_smfe(
     max_outer: int | None = None,
     fallback: bool | None = None,
 ) -> StationaryPair:
-    """Solve for a stationary pair by one Newton solve of its log-form equations.
+    """Solve for a stationary pair by one Newton solve in the relative values.
 
-    ``_newton`` solves ``_pair_equations`` cold, from V = 0, lambda = 0 and
-    the uniform distribution, straight at the model's theta: on the shipped
-    route configs in 6 steps.  It stops at max |F| <= 1e-13, or stalls once
-    the line search needs a step below 2**-20.  The pair it ends at is
-    priced by ``_pair_residuals``, the formulas of ``smfe_residuals``, and
-    returned when r1 and r2 are both <= ``tol``.  Otherwise SolverFailure
-    is raised, its payload the pair (``V_bar``, ``mu_bar``, ``lambda_bar``)
-    with that pair's ``r1`` and ``r2``.  Raises InvalidInputError for a
-    ``tol`` that is not positive.
+    ``_newton`` solves ``_pair_equations`` for V(1..M-1) cold, from V = 0,
+    straight at the model's theta; the distribution is no unknown, since
+    the invariant law of V's own policy meets the balance condition.  On the
+    shipped route configs it takes 6 steps, on the bottleneck ones 19 and
+    28.  It stops at max |F| <= 1e-13, or stalls once the line search needs
+    a step below 2**-20.  The pair it ends at is priced by
+    ``_pair_residuals``, the formulas of ``smfe_residuals``, and returned
+    when r1 and r2 are both <= ``tol``.  Otherwise SolverFailure is raised,
+    its payload the pair (``V_bar``, ``mu_bar``, ``lambda_bar``) with that
+    pair's ``r1`` and ``r2``.  Raises InvalidInputError for a ``tol`` that
+    is not positive.
 
     The keywords ``init``, ``damping``, ``max_outer`` and ``fallback`` are
     legacy: given any of them, the former damped loop, ``_solve_damped``,
@@ -244,13 +236,10 @@ def solve_smfe(
     legacy = {name: value for name, value in legacy.items() if value is not None}
     if legacy:
         return _solve_damped(cm, tol=tol, **legacy)
-    equations, unpack = _pair_equations(cm)
-    x, stop = _newton(equations, np.zeros(2 * cm.M - 1), "stationary pair")
-    v, lam, log_mu = unpack(x)
-    mu = np.exp(log_mu)
-    soft, u, z = _soft_backup(cm.kernel, v, cm.theta)
-    pi = _softmax_policies(cm.kernel, u, z)
-    r1, r2 = _pair_residuals(cm.cost(mu) + soft, v, lam, _forward_step_core(pi, mu), mu)
+    equations, pair = _pair_equations(cm)
+    x, stop = _newton(equations, np.zeros(cm.M - 1), "stationary pair")
+    v, lam, pi, mu, backed = pair(x)
+    r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
     if r1 <= tol and r2 <= tol:
         return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
     raise SolverFailure(
@@ -380,8 +369,7 @@ def smfe_residuals(p: StationaryPair, cm: CostModel):
 
 def _pair_residuals(backed, v, lam, pushed, mu):
     """(r1, r2) of a pair from G V = ``backed`` and K_pi mu = ``pushed``; unchecked."""
-    r1 = float(np.max(np.abs(backed - v - lam)))
-    return r1, dist_distance(pushed, mu)
+    return float(np.max(np.abs(backed - v - lam))), float(np.max(np.abs(pushed - mu)))
 
 
 def _indicator_epsilon(cm: CostModel) -> float:

@@ -267,7 +267,7 @@ def test_criterion_10c_forward_step_exact():
 
 
 def test_criterion_11_invariant_suite():
-    from mfgcommute.core import concavity_check
+    from oracles import concavity_check
 
     rng = np.random.default_rng(110)
     failures = {"concavity": 0, "3C": 0, "translation": 0,

@@ -439,12 +439,13 @@ def test_smfe_command_writes_residuals_on_failure(tmp_path, repo_root, monkeypat
         assert doc[key] == payload[key]
 
 
-@pytest.mark.parametrize("epsilon, code", [(1.0, 2), (0.0, 0)],
+@pytest.mark.parametrize("epsilon, code", [(1.0, 0), (0.0, 0)],
                          ids=["bottleneck_e1t20", "bottleneck_e0t20"])
 def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
-    # The shipped bottleneck models (theta 20).  With inertia the Newton
-    # solve stalls and fails fast; smfe.json then holds the pair it stalled
-    # at, with that pair's own residuals.
+    # The shipped bottleneck models (theta 20), with and without inertia:
+    # the Newton solve in the relative values certifies both, and smfe.json
+    # holds the pair with that pair's own residuals.  Exit code 0 goes with
+    # residuals within 1e-8, and exit code 2 with a pair that misses them.
     from mfgcommute.core import bellman_apply
     from mfgcommute.stationary import StationaryPair, smfe_residuals
 

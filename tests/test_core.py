@@ -22,7 +22,6 @@ from mfgcommute.core import (
     backward_induction,
     bellman_apply,
     check_stochastic,
-    concavity_check,
     dist_distance,
     forward_propagate,
     forward_step,
@@ -30,13 +29,16 @@ from mfgcommute.core import (
     uniform_distribution,
     uniform_policy_seq,
 )
+from mfgcommute.fictitious import exploitability
 from mfgcommute.route import RouteInertiaSpec, route_cost_model
+from mfgcommute.stationary import omega_bound_check
 from conftest import make_table_cost_model
 from oracles import (
     brute_forward_step,
     brute_soft_backup,
     brute_policy_distance,
     brute_seq_distance,
+    concavity_check,
     occupancy_total_cost,
 )
 
@@ -91,6 +93,17 @@ def test_dist_distance_hand_value():
 def test_dist_distance_dimension_mismatch():
     with pytest.raises(InvalidInputError):
         dist_distance([0.5, 0.5], [0.3, 0.3, 0.4])
+
+
+def test_dist_distance_reads_entries_by_the_number_rule():
+    # A numeric string or a bool is no number, a NaN would make the metric
+    # NaN, and two empty arrays have no largest entry: each is an input error.
+    with pytest.raises(InvalidInputError, match="first array must be a number"):
+        dist_distance(["1", True], [0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="first array must be finite"):
+        dist_distance([math.nan, 0.0], [0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="entries"):
+        dist_distance(np.zeros(0), np.zeros(0))
 
 
 def test_seq_distance_single_day_difference():
@@ -152,6 +165,23 @@ def test_check_policy_rejects_bad_rows():
     seq[2, 1] = [0.5, 0.6]
     with pytest.raises(InvalidInputError):
         check_stochastic(seq, "policy sequence", (None, 2, 2))
+
+
+def test_a_sequence_of_no_days_is_rejected_by_name(route_cm_e1t1, grid9_mu0):
+    # Shape (0, M) is no horizon: each operator rejects it, naming the
+    # field, instead of failing on index 0 or returning a one-day table.
+    cm, m = route_cm_e1t1, route_cm_e1t1.M
+    no_mf, no_pi = np.zeros((0, m)), np.zeros((0, m, m))
+    calls = [
+        (lambda: forward_propagate(no_pi, grid9_mu0), "policy sequence"),
+        (lambda: backward_induction(no_mf, cm), "mean field sequence"),
+        (lambda: policy_evaluate(no_pi, no_mf, cm), "mean field sequence"),
+        (lambda: exploitability(no_pi, no_mf, cm, grid9_mu0), "mean field sequence"),
+        (lambda: omega_bound_check(no_mf, cm), "mean field sequence"),
+    ]
+    for call, name in calls:
+        with pytest.raises(InvalidInputError, match=f"{name} has no entries"):
+            call()
 
 
 def test_cost_model_validation():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -419,14 +420,16 @@ def test_solver_failure_carries_residuals():
 
 
 def test_solver_failure_payload_is_the_pair_its_residuals_measure(
-        route_cm_e1t1, bottleneck_cm_e1t20):
+        route_cm_e1t1, bottleneck_cm_e1t20, grid9):
     # A capped solve reports the pair it priced last, not that pair's
     # distribution moved one more damped step; the Newton solve, which
-    # stalls on bottleneck_e1t20, reports the pair it stalled at.
+    # stalls on grid9 with indicator inertia at epsilon = 1, theta = 20,
+    # reports the pair it stalled at.
     bottleneck = bottleneck_cm_e1t20[0]
+    stiff = route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0))
     for cm, knobs in ((route_cm_e1t1, {"max_outer": 30, "fallback": False}),
                       (bottleneck, {"max_outer": 30, "fallback": False}),
-                      (bottleneck, {})):
+                      (stiff, {})):
         with pytest.raises(SolverFailure) as exc:
             solve_smfe(cm, **knobs)
         p = exc.value.payload
@@ -481,6 +484,68 @@ def test_newton_pair_is_the_logit_point_that_repels_fictitious_play(repo_root):
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
     assert dist_distance(pair.mu_bar, logit_sue(cm)) <= 1e-10
+
+
+SHIPPED = ["route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottleneck_e0t20"]
+
+
+def _model(name, repo_root, grid9):
+    # A shipped config by name, or one of two models off them that a Newton
+    # solve with mu's logits as unknowns misses: it stalls on bottleneck_e0t5
+    # and hits its step cap on grid9_overlap_e1t20.
+    if name == "bottleneck_e0t5":
+        spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
+        return bottleneck_cost_model(replace(spec, epsilon=0.0), 5.0)
+    if name == "grid9_overlap_e1t20":
+        return route_cost_model(grid9, 20.0, RouteInertiaSpec("overlap", 1.0))
+    return build_scenario(load_config(repo_root / "configs" / f"{name}.json"))[0]
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["bottleneck_e0t5", "grid9_overlap_e1t20"])
+def test_newton_pair_is_certified(repo_root, grid9, name):
+    cm = _model(name, repo_root, grid9)
+    pair = solve_smfe(cm)
+    r1, r2 = smfe_residuals(pair, cm)
+    assert r1 <= 1e-8 and r2 <= 1e-8
+    assert pair.V_bar[0] == 0.0
+
+
+def test_newton_pair_on_bottleneck_e1t20_matches_a_continuation(bottleneck_cm_e1t20):
+    # An independent path to the same pair: hybr on the full pair equations,
+    # G V = V + lambda and K_pi mu = mu with V(0) = 0 and mu in logit form,
+    # priced by the public backup and push as in exact_pair_e1t1.  It starts
+    # at the logit equilibrium's pair, exact at epsilon = 0 (mu the SUE and
+    # V = f(mu) - f(mu)(0)), and scales the inertia up to the model's own in
+    # four steps, each started from the last answer.
+    cm, m = bottleneck_cm_e1t20[0], bottleneck_cm_e1t20[0].M
+
+    def unpack(x):
+        v = np.concatenate([[0.0], x[:m - 1]])
+        return v, float(x[m - 1]), softmax(np.concatenate([[0.0], x[m:]]))
+
+    mu = logit_sue(cm)
+    f = cm.cost(mu)
+    v = f - f[0]
+    lam = f[0] - math.log(float(np.exp(-cm.theta * v).sum())) / cm.theta
+    x = np.concatenate([v[1:], [lam], np.log(mu[1:] / mu[0])])
+    for scale in (0.25, 0.5, 0.75, 1.0):
+        scaled = CostModel(cost=cm.cost, inertia_matrix=scale * cm.inertia_matrix,
+                           theta=cm.theta, bound_C=cm.bound_C)
+
+        def residual(x):
+            v, lam, mu = unpack(x)
+            backed, pi = bellman_apply(v, mu, scaled)
+            return np.concatenate([backed - v - lam, (forward_step(pi, mu) - mu)[1:]])
+
+        x = _hybr(residual, x).x
+    v, lam, mu = unpack(x)
+    reference = StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam,
+                               pi_bar=bellman_apply(v, mu, cm)[1])
+    assert max(smfe_residuals(reference, cm)) <= EXACT_TOL
+    pair = solve_smfe(cm)
+    assert dist_distance(pair.mu_bar, mu) <= 1e-10
+    assert dist_distance(pair.V_bar, v) <= 1e-10
+    assert abs(pair.lambda_bar - lam) <= 1e-10
 
 
 def test_newton_solve_logs_each_step(route_cm_e1t1, caplog):
