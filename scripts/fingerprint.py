@@ -8,8 +8,10 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   last trace entry, the certified gap);
 - ``fp-trace/<config>``: the whole exploitability trace of the same run.
   Its entries before the last are priced by the occupancy form, not
-  certified, so a change of summation order can move them by rounding
-  while ``fp/<config>`` stays put;
+  certified: from the kernel-free occupancy sums, the best responses'
+  factors (mf / z) x u folded with the Gibbs kernel left out, which meet
+  the policy tables only at a stop candidate.  So a change of summation
+  order can move them by rounding while ``fp/<config>`` stays put;
 - ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
   each shipped config (the pair, or the failure payload when it stalls);
 - ``cap30/<config>``: the legacy damped loop, 30 rounds with

@@ -168,7 +168,9 @@ class CostModel:
     bit for bit (separable inertia, d(s, x) = b(x), as at epsilon = 0), else
     None.  Given it, the backward sweep and the push run all days in one
     broadcast each, with no day loop (``_backward_induction_core``): one
-    fictitious-play iteration on route_e0t1 takes 79 us against 250 us.
+    fictitious-play iteration on route_e0t1 takes 83 us against 219 us.
+    Otherwise they loop over the days in scaling form, one mat-vec a day,
+    with the headroom theta * max d that the limit bounds.
     """
 
     cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -263,8 +265,8 @@ def bellman_apply(v_next, mu, cm: CostModel):
 
 
 def _backward_induction_core(f_table, kernel, theta, row=None):
-    # The day loop touches only vectors.  Day n's softmax policy is kept in
-    # factor form, pi_n = diag(1/z_n) kernel diag(u_n); _softmax_policies
+    # Day n's softmax policy is kept in factor form, pi_n = diag(1/z_n)
+    # kernel diag(u_n), with max u_n = 1 as in _soft_backup; _softmax_policies
     # forms the tables and _forward_propagate_core pushes flows through the
     # factors without them.
     #
@@ -275,14 +277,14 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # g_{n+1}, taken out of the exponent.  Then z_n = u_n . k, and g_n sums
     # min f_{m+1} - ln z_m / theta over m >= n, with min f_N = 0.  Each
     # stage is one call over all days: on a 2-core Xeon with numpy 2.4 and
-    # BLAS on one thread, this sweep and the batched push take 22 us against
-    # 200 us through the loops on route_e0t1 (M = 6, N = 30), and 26 against
-    # 247 us on bottleneck_e0t20 (M = 40).  z comes back repeated to (N, M),
-    # the loop's shape.  Equal to the loop up to rounding: u is formed from
-    # f, not from V = f + g, so it skips the rounding of g.
+    # BLAS on one thread, this sweep and the batched push take 24 us against
+    # 138 us through the loops on route_e0t1 (M = 6, N = 30), and 29 against
+    # 206 us on bottleneck_e0t20 (M = 40).  z comes back repeated to (N, M),
+    # the loop's shape.  Equal to the loop up to rounding: the loop carries
+    # each day's shift in a max, the branch in a sum of minima.
     n_days, m = f_table.shape
+    f_min = f_table.min(axis=1)
     if row is not None:
-        f_min = f_table.min(axis=1)
         u = np.ones((n_days, m))
         np.exp((f_min[1:, None] - f_table[1:]) * theta, out=u[:-1])
         z = u.dot(row)
@@ -292,12 +294,39 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
         values = np.zeros((n_days + 1, m))
         np.add(f_table, g[:, None], out=values[:-1])
         return values, u, np.repeat(z[:, None], m, axis=1)
-    values = np.zeros((n_days + 1, m))
+    # Otherwise the days loop in scaling form, with no log or exp inside the
+    # loop.  exp(-theta V_{n+1}) is proportional to w_{n+1} * z_{n+1}, with
+    # w_{n+1} = exp(theta (min f_{n+1} - f_{n+1}) + H): u_n is that product
+    # scaled to max 1 by its max s_{n+1}, and V_n = f_n - ln z_n / theta + h_n,
+    # where h_n sums min f_m - (ln s_m - H) / theta over m > n.  The headroom
+    # H = -ln min kernel = theta max d is required: z_{n+1} ranges over
+    # [e^-H, M], so without it a weight that exp rounds to 0 could come back
+    # by a z ratio of up to e^H (at theta max d = 699 that moved policy
+    # entries by 1).  With it the best option's product is at least 1, so a
+    # weight lost to underflow is below M e^-745 of the day's largest and
+    # below M e^-45 of z, the bound of _soft_backup.  The products stay below
+    # M e^H, finite for M below about 17,000.  One exp before the loop and
+    # one log after it; a day is one mat-vec and three elementwise calls.
+    head = -math.log(kernel.min())
+    weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + head)
     u = np.empty((n_days, m))
     z = np.empty((n_days, m))
-    for n in range(n_days - 1, -1, -1):
-        soft, u[n], z[n] = _soft_backup(kernel, values[n + 1], theta)
-        values[n] = f_table[n] + soft
+    scale = np.ones(n_days)
+    u[-1] = 1.0
+    for n in range(n_days - 1, 0, -1):
+        p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
+        # The max over a list, as a Python float: faster than an array's.
+        scale[n] = top = max(p.tolist())
+        p /= top
+    kernel.dot(u[0], out=z[0])
+    h = np.zeros(n_days)
+    h[:-1] = f_min[1:] - (np.log(scale[1:]) - head) / theta
+    h = np.cumsum(h[::-1])[::-1]
+    values = np.zeros((n_days + 1, m))
+    np.log(z, out=values[:-1])
+    values[:-1] /= -theta
+    values[:-1] += f_table
+    values[:-1] += h[:, None]
     return values, u, z
 
 
@@ -327,7 +356,7 @@ def backward_induction(mu, cm: CostModel):
 # forward operators
 
 
-def _renormalize(pushed, out=None):
+def _renormalize(pushed):
     # Absorb the rounding drift of one pushed day.  The exact sum runs over a
     # list: fsum iterates it faster than an array.
     total = math.fsum(pushed.tolist())
@@ -335,7 +364,7 @@ def _renormalize(pushed, out=None):
         raise NumericError(
             f"mass drift {abs(total - 1.0):.3e} exceeds {RENORM_TOL:.0e}"
         )
-    return np.divide(pushed, total, out=out)
+    return pushed / total
 
 
 def _forward_step_core(pi, mu):
@@ -357,12 +386,17 @@ def forward_step(pi, mu) -> np.ndarray:
 def _forward_propagate_core(kernel, u, z, mu0, row=None):
     # Flows of the softmax policies of a sweep with factors (u, z), pushed in
     # kernel form: mu_{n+1}(x) = u_n(x) sum_s (mu_n(s) / z_n(s)) kernel(s, x),
-    # one vector-matrix product a day and no M x M table (_soft_backup keeps
-    # z > 0).  Equal to forward_propagate of those policies up to rounding.
+    # with no M x M table (the sweep keeps z >= e^(-theta max d)).  The loop
+    # carries nu_n = mu_n / z_n, so a day is one vector-matrix product and
+    # one product with u_n / z_{n+1}, formed for all days at once.  The push
+    # keeps mass, so no day is renormalized inside the loop: after it, one
+    # sum per day checks each day's mass against the day before, and one
+    # division scales every day to 1.  Equal to forward_propagate of those
+    # policies up to rounding.
     #
     # Given the kernel's common ``row`` k, every row of pi_n is u_n * k / z_n,
     # so mu_{n+1} is that row whatever mu_n is: all days in one broadcast,
-    # with the loop's drift check on each day's mass against z_n.
+    # with the drift check on each day's mass against z_n.
     n_days, m = u.shape
     out = np.empty((n_days, m))
     out[0] = mu0
@@ -370,14 +404,20 @@ def _forward_propagate_core(kernel, u, z, mu0, row=None):
         push = u[:-1] * row
         total = push.sum(axis=1)
         drift = np.abs(total / z[:-1, 0] - 1.0)
-        if (drift > RENORM_TOL).any():
-            raise NumericError(f"mass drift {drift.max():.3e} exceeds {RENORM_TOL:.0e}")
-        np.divide(push, total[:, None], out=out[1:])
-        return out
-    for n in range(n_days - 1):
-        push = (out[n] / z[n]).dot(kernel)
-        push *= u[n]
-        _renormalize(push, out=out[n + 1])
+    else:
+        ratio = u[:-1] / z[1:]
+        nu = np.empty((n_days, m))
+        np.divide(mu0, z[0], out=nu[0])
+        for n in range(n_days - 1):
+            np.dot(nu[n], kernel, out=nu[n + 1])
+            nu[n + 1] *= ratio[n]
+        push = np.multiply(nu[1:], z[1:], out=out[1:])
+        total = out.sum(axis=1)
+        drift = np.abs(total[1:] / total[:-1] - 1.0)
+        total = total[1:]
+    if (drift > RENORM_TOL).any():
+        raise NumericError(f"mass drift {drift.max():.3e} exceeds {RENORM_TOL:.0e}")
+    np.divide(push, total[:, None], out=out[1:])
     return out
 
 

@@ -17,32 +17,52 @@ pi_n = diag(1/z_n) K diag(u_n), with K = exp(-theta d) the cost model's
 Gibbs kernel and (u_n, z_n) the factors the backward sweep already computes,
 so the induced flow is mu_{n+1} = u_n * ((mu_n / z_n) K): one vector-matrix
 product a day, the scaling form in which Sinkhorn's algorithm applies a
-Gibbs plan without building it (Cuturi, NeurIPS 2013).  The (N, M, M)
-policy tables are formed once an iteration, into one buffer, for the
-occupancy fold alone.  On a 2-core Xeon with numpy 2.4 and BLAS on one
-thread, one day's push takes 1.8 us this way against 6.2 us as an
-elementwise M x M product and column sum at M = 40 (1.7 against 4.6 us at
-M = 6), and a 30-day propagation with its renormalization 161 against
-242 us at M = 40.  The flows equal ``forward_propagate`` of the tables up to
-rounding: within 2.2e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20 over
-100 iterations.
+Gibbs plan without building it (Cuturi, NeurIPS 2013).  The sweep runs in
+the same form (``core._backward_induction_core``): a day is one mat-vec and
+three elementwise calls, and its exp and log run once over all days.  The
+push keeps mass, so it renormalizes once, after its loop.  On a 2-core Xeon
+with numpy 2.4 and BLAS on one thread, one day's push takes 1.6 us this way
+against 4.2 us as an elementwise M x M product and column sum at M = 40
+(1.8 against 3.5 us at M = 6).  A 30-day push takes 57 us against 149 us
+with a renormalization each day at M = 40, and the sweep 148 against 196 us
+with a log and an exp each day (best of seven; 52 against 85 and 85 against
+185 us at M = 6).  An iteration on route_e1t1 takes 226 against 352 us, on
+bottleneck_e1t20 542 against 830 us (best of three interleaved runs of
+1,000 iterations).  The flows equal ``forward_propagate`` of the tables up
+to rounding: within 3.3e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20
+over 100 iterations.
 
 With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
 one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
 for a scalar g_n, and the pushed flow u_n * k / z_n does not depend on mu_n.
 The sweep and the push then take no day loop: each of their stages is one
 call over all N days (``core._backward_induction_core``).  On the same
-machine one iteration takes 79 us against 250 us through the day loop on
-route_e0t1 (78 against 262 on route_e0t20, 325 against 543 on
+machine one iteration takes 83 us against 219 us through the day loop on
+route_e0t1 (87 against 207 on route_e0t20, 332 against 483 on
 bottleneck_e0t20), and the results equal the day loop's up to rounding.
 Every epsilon > 0 config runs the day loop.
 
+No policy table enters the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
+pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s) either.  With pol_n^i =
+diag(1/z) K diag(u), num_n = K * A_n for A_n = sum_i (mf_n^i / z_n^i) u_n^i,
+an outer product of two vectors a day, folded in one pass and one add: 80
+against 161 us at M = 40, where the tables took four passes.  The loop
+keeps occ = A min K, with min K = e^-H and H = theta max d: mf / z is at
+most e^H, so A could grow past the float range over a long run at the
+kernel limit, while occ stays at most k.  The tables num = G * occ, with
+G = K / min K, are formed only at a stop candidate.
+
 Consistency also prices the average policy without a backward sweep.  With
-k iterates folded into the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
-pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s), its cost from mu0 is
+k iterates folded, its cost from mu0 is
 
     sum avg_mf * f + sum num * d / k
         + (sum num ln num - sum den ln den) / (theta k).
+
+Since ln num = ln occ + H - theta d, the inertia term cancels, and with
+sum num = sum den that cost is
+
+    sum avg_mf * f
+        + (<G, sum_n occ_n ln occ_n> + H sum den - sum den ln den) / (theta k).
 
 The entropy sums take 0 ln 0 = 0 by numpy's log over the positive entries
 only (``core._xlogx``, the package's one x ln x).  On a 2-core Xeon with
@@ -50,10 +70,9 @@ numpy 2.4 and scipy 1.17, the row sums of x ln x over a 6 x 6 policy take
 3.6 us this way against 2.4 us with scipy's ``xlogy``, but over all 30 days
 of route_e0t1 at once 10 us against 72 us for 30 ``xlogy`` calls; at
 M = 40 one policy takes 10.5 against 17.7 us.  So ``_policy_evaluate_core``
-forms the entropy of every day in one call.  The inertia sum folds
-the days first, sum (sum_n num_n) * d, so no (N, M, M) temporary is built.
-These sums match the elementwise forms up to rounding, and only the
-uncertified trace entries use them.
+forms the entropy of every day in one call.  The held cost matches the
+elementwise form up to rounding, and only the uncertified trace entries use
+it.
 
 The average policy is formed only at a stop candidate (that gap at or below
 tolerance, or the budget spent), where the backward sweep ``exploitability``
@@ -63,6 +82,7 @@ runs certifies the gap; a candidate that fails is recorded and play goes on.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +94,6 @@ from .core import (
     _forward_propagate_core,
     _number,
     _policy_evaluate_core,
-    _softmax_policies,
     _xlogx,
     check_stochastic,
     dist_distance,
@@ -211,9 +230,12 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
         else uniform_policy_seq(cfg.horizon, m)
     )
     avg_mf = forward_propagate(pol0, cfg.mu0)
-    d = cm.inertia_matrix
+    # The occupancy sums in scaling form (module docstring): num = gibbs * occ.
+    k_min = cm.kernel.min()
+    gibbs = cm.kernel / k_min
+    head = -math.log(k_min)
 
-    num = np.zeros((cfg.horizon, m, m))
+    occ = np.zeros((cfg.horizon, m, m))
     den = np.zeros((cfg.horizon, m))
     weighted = np.empty((cfg.horizon, m, m))
     trace: list[float] = []
@@ -227,14 +249,16 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
         br_values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
         if j > 1:
             k = j - 1
-            held = (
-                np.sum(avg_mf * f_table)
-                + np.vdot(num.sum(axis=0), d) / k
-                + (_xlogx(num).sum() - _xlogx(den).sum()) / (cm.theta * k)
+            switching = (
+                np.vdot(gibbs, _xlogx(occ).sum(axis=0))
+                + head * den.sum()
+                - _xlogx(den).sum()
             )
+            held = np.sum(avg_mf * f_table) + switching / (cm.theta * k)
             gap = float(held) - float(np.sum(cfg.mu0 * br_values[0]))
             if gap <= cfg.exploitability_tol or j > cfg.max_iters:
-                avg_pol = _weighted_policy_average(num, den, m)
+                np.multiply(gibbs, occ, out=weighted)
+                avg_pol = _weighted_policy_average(weighted, den, m)
                 gap = _gap(avg_pol, f_table, br_values, cm, cfg.mu0)
             trace.append(gap)
             logger.debug("iteration %d exploitability %.3e", k, gap)
@@ -243,11 +267,10 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
                 break
         induced = _forward_propagate_core(cm.kernel, u, z, cfg.mu0, cm.kernel_row)
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * induced
-        # Fold into the occupancy sums: the best response's policies are
-        # formed only here, in one buffer per run, and weighted in place.
-        _softmax_policies(cm.kernel, u, z, out=weighted)
-        weighted *= induced[:, :, None]
-        num += weighted
+        # Fold into the occupancy sums: one outer product into one buffer
+        # per run, and no policy table.
+        np.multiply((induced / z * k_min)[:, :, None], u[:, None, :], out=weighted)
+        occ += weighted
         den += induced
 
     logger.info(

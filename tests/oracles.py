@@ -2,8 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, explicit formulas) so it shares no code path with the package.  The
-one exception, ``concavity_check``, tests a property of the package's own
-public backup and push rather than recomputing them.
+log-domain sweep and push are numpy day loops, but their own: the log form
+the package's scaling-form sweep replaced.  The one exception,
+``concavity_check``, tests a property of the package's own public backup and
+push rather than recomputing them.
 """
 
 from __future__ import annotations
@@ -46,6 +48,40 @@ def brute_soft_backup(f, d, v, theta):
         values[s] = float(f[s]) - (top + math.log(total)) / theta
         policy[s] = [w / total for w in weights]
     return np.array(values), np.array(policy)
+
+
+def log_domain_sweep(f_table, kernel, theta):
+    """The backward sweep's day loop in log form, one shifted backup a day.
+
+    Day n shifts by c = min V_{n+1}, forms u_n = exp(theta (c - V_{n+1})),
+    z_n = kernel @ u_n and V_n = f_n + c - ln z_n / theta, from V_N = 0.
+    Returns ``(values, u, z)``, the factors of the sweep's softmax policies
+    pi_n = diag(1/z_n) kernel diag(u_n).  An earlier form of the package's
+    own sweep, kept as a reference for its scaling form.
+    """
+    n_days, m = np.shape(f_table)
+    values = np.zeros((n_days + 1, m))
+    u = np.empty((n_days, m))
+    z = np.empty((n_days, m))
+    for n in range(n_days - 1, -1, -1):
+        c = float(values[n + 1].min())
+        u[n] = np.exp((c - values[n + 1]) * theta)
+        z[n] = kernel.dot(u[n])
+        values[n] = f_table[n] + (c - np.log(z[n]) / theta)
+    return values, u, z
+
+
+def log_domain_push(kernel, u, z, mu0):
+    """Flows of the policies with factors ``(u, z)``, renormalized day by day.
+
+    mu_{n+1} = u_n * ((mu_n / z_n) @ kernel), divided by its exact sum.
+    """
+    out = np.empty((len(u), len(mu0)))
+    out[0] = mu0
+    for n in range(len(u) - 1):
+        pushed = (out[n] / z[n]).dot(kernel) * u[n]
+        out[n + 1] = pushed / math.fsum(pushed.tolist())
+    return out
 
 
 def brute_seq_distance(a, b):

@@ -39,6 +39,8 @@ from oracles import (
     brute_policy_distance,
     brute_seq_distance,
     concavity_check,
+    log_domain_push,
+    log_domain_sweep,
     occupancy_total_cost,
 )
 
@@ -359,17 +361,13 @@ def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root
         f_table = cm.cost(mu)
         for n in range(len(mu)):
             assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
-            # One backup formula: day n of the day loop is bellman_apply, bit
-            # for bit.  The batched branch of a separable model forms u from
-            # f, not from V = f + g, so it equals bellman_apply up to rounding.
+            # One backup formula: day n of the sweep is bellman_apply up to
+            # rounding.  Both branches of the sweep form u from f, not from
+            # V = f + g, and sum the shifts of g over the days.
             value, policy = bellman_apply(values[n + 1], mu[n], cm)
-            if cm.kernel_row is None:
-                assert np.array_equal(values[n], value)
-                assert np.array_equal(policies[n], policy)
-            else:
-                scale = np.finfo(float).eps * np.abs(values).max()
-                assert np.max(np.abs(values[n] - value)) <= 32 * scale
-                assert np.max(np.abs(policies[n] - policy)) <= 4 * cm.theta * scale
+            scale = np.finfo(float).eps * np.abs(values).max()
+            assert np.max(np.abs(values[n] - value)) <= 32 * scale
+            assert np.max(np.abs(policies[n] - policy)) <= 4 * cm.theta * scale
             assert not np.shares_memory(policy, cm.kernel)
         # Both build their policies in place; never in the shared kernel.
         assert not np.shares_memory(policies, cm.kernel)
@@ -514,24 +512,31 @@ def shipped_cost_model(repo_root, name):
     return cfg.horizon, build_scenario(cfg)[0]
 
 
-def assert_batched_matches_the_loop(cm, mu, mu0):
-    # The batched branch against the day loop on one cost table, within
-    # rounding: the loop forms u from V = f + g, so its u carries about theta
-    # ulps of max |V|, and the batched g sums N days.
-    f_table = cm.cost(mu)
-    values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
-    got_values, got_u, got_z = _backward_induction_core(
-        f_table, cm.kernel, cm.theta, cm.kernel_row)
+def assert_sweeps_agree(theta, got, want, got_push, want_push, mu0):
+    # Two sweeps of one cost table, and their pushes from mu0, within
+    # rounding: one forms u from V = f + g, so its u carries about theta ulps
+    # of max |V|, and the other sums its shifts g over N days.
+    values, u, z = want
+    got_values, got_u, got_z = got
     scale = np.finfo(float).eps * max(1.0, np.abs(values).max())
     assert got_values.shape == values.shape and got_z.shape == z.shape
     assert np.array_equal(got_values[-1], values[-1])
     assert np.max(np.abs(got_values - values)) <= 32 * scale
-    assert np.max(np.abs(got_u - u)) <= 4 * cm.theta * scale
-    assert np.max(np.abs(got_z / z - 1.0)) <= 4 * cm.theta * scale
-    pushed = _forward_propagate_core(cm.kernel, got_u, got_z, mu0, cm.kernel_row)
-    assert np.array_equal(pushed[0], mu0)
-    want = _forward_propagate_core(cm.kernel, u, z, mu0)
-    assert np.max(np.abs(pushed - want)) <= 4 * cm.theta * scale
+    assert np.max(np.abs(got_u - u)) <= 4 * theta * scale
+    assert np.max(np.abs(got_z / z - 1.0)) <= 4 * theta * scale
+    assert np.array_equal(got_push[0], mu0)
+    assert np.max(np.abs(got_push - want_push)) <= 4 * theta * scale
+
+
+def assert_batched_matches_the_loop(cm, mu, mu0):
+    # The batched branch against the day loop on one cost table.
+    f_table = cm.cost(mu)
+    loop = _backward_induction_core(f_table, cm.kernel, cm.theta)
+    got = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
+    assert_sweeps_agree(
+        cm.theta, got, loop,
+        _forward_propagate_core(cm.kernel, *got[1:], mu0, cm.kernel_row),
+        _forward_propagate_core(cm.kernel, *loop[1:], mu0), mu0)
 
 
 def test_separable_branch_matches_the_day_loop(repo_root):
@@ -547,6 +552,72 @@ def test_separable_branch_matches_the_day_loop(repo_root):
             cm = separable_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)))
             mu = rng.dirichlet(np.ones(m), size=horizon)
             assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(m)))
+
+
+def test_scaling_form_day_loop_matches_the_log_domain_loop(repo_root):
+    # The day loop's sweep and push against the log-domain loop they
+    # replaced (oracles.log_domain_sweep), within the batched branch's bounds.
+    rng = np.random.default_rng(23)
+
+    def check(cm, mu, mu0):
+        f_table = cm.cost(mu)
+        got = _backward_induction_core(f_table, cm.kernel, cm.theta)
+        want = log_domain_sweep(f_table, cm.kernel, cm.theta)
+        assert_sweeps_agree(
+            cm.theta, got, want,
+            _forward_propagate_core(cm.kernel, *got[1:], mu0),
+            log_domain_push(cm.kernel, *want[1:], mu0), mu0)
+
+    for name in ("route_e1t1", "bottleneck_e1t20"):
+        horizon, cm = shipped_cost_model(repo_root, name)
+        for _ in range(5):
+            mu = rng.dirichlet(np.ones(cm.M), size=horizon)
+            check(cm, mu, rng.dirichlet(np.ones(cm.M)))
+    # Down to one option, where the loop runs on a 1 x 1 kernel, and one day,
+    # where it runs no iteration.
+    for m in (1, 2, 5, 12):
+        for horizon in (1, 2, 30):
+            cm = random_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)))
+            mu = rng.dirichlet(np.ones(m), size=horizon)
+            check(cm, mu, rng.dirichlet(np.ones(m)))
+
+
+def headroom_cost_model(rng, m, theta_d_max):
+    # theta * max d at theta_d_max, with costs spread over 16 to 24 times
+    # max d: exp(theta (min f - f)) underflows for the dearest options even
+    # at theta max d = 50, and the day's z ranges over up to e^(theta max d).
+    d_table = rng.random((m, m))
+    d_table /= d_table.max()
+    spread = rng.uniform(16.0, 24.0)
+    f_table = rng.random(m) * spread
+    f_table[rng.permutation(m)[:2]] = 0.0, spread
+    coupling = rng.random((m, m)) * spread / m
+    cm = make_table_cost_model(f_table, d_table, theta_d_max, coupling)
+    assert cm.kernel_row is None and cm.theta * cm.inertia_matrix.max() == theta_d_max
+    return cm
+
+
+@pytest.mark.parametrize("theta_d_max", [50.0, 300.0, 699.0])
+def test_scaling_form_keeps_its_headroom_at_the_kernel_limit(theta_d_max):
+    # A weight exp would round to 0 can come back by a z ratio of up to
+    # e^(theta max d); the sweep's headroom H = theta max d keeps it.  Every
+    # day must still be the brute-force backup of the next day's values, and
+    # the push forward_propagate of the explicit tables.
+    rng = np.random.default_rng(24)
+    for m in (3, 5, 8):
+        for _ in range(8):
+            cm = headroom_cost_model(rng, m, theta_d_max)
+            mu = rng.dirichlet(np.ones(m), size=12)
+            f_table = cm.cost(mu)
+            weights = np.exp((f_table.min(axis=1)[:, None] - f_table) * cm.theta)
+            assert (weights == 0.0).any()
+            values, policies = backward_induction(mu, cm)
+            for n in range(len(mu)):
+                assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
+            mu0 = rng.dirichlet(np.ones(m))
+            _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
+            got = _forward_propagate_core(cm.kernel, u, z, mu0)
+            assert np.max(np.abs(got - forward_propagate(policies, mu0))) <= 1e-15
 
 
 def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal(repo_root):
