@@ -54,6 +54,8 @@ RENORM_TOL = 1e-10
 # Largest theta * max d(s, x) a cost model accepts: below it every entry of
 # the Gibbs kernel exp(-theta d) is a normal float (exp(-708) is the least).
 KERNEL_LIMIT = 700.0
+# ln of the largest float (709.78), which sets the sweep's rescale stride.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 class InvalidInputError(ValueError):
@@ -168,7 +170,7 @@ class CostModel:
     bit for bit (separable inertia, d(s, x) = b(x), as at epsilon = 0), else
     None.  Given it, the backward sweep and the push run all days in one
     broadcast each, with no day loop (``_backward_induction_core``): one
-    fictitious-play iteration on route_e0t1 takes 83 us against 219 us.
+    fictitious-play iteration on route_e0t1 takes 69 us against 159 us.
     Otherwise they loop over the days in scaling form, one mat-vec a day,
     with the headroom theta * max d that the limit bounds.
     """
@@ -297,17 +299,30 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # Otherwise the days loop in scaling form, with no log or exp inside the
     # loop.  exp(-theta V_{n+1}) is proportional to w_{n+1} * z_{n+1}, with
     # w_{n+1} = exp(theta (min f_{n+1} - f_{n+1}) + H): u_n is that product
-    # scaled to max 1 by its max s_{n+1}, and V_n = f_n - ln z_n / theta + h_n,
-    # where h_n sums min f_m - (ln s_m - H) / theta over m > n.  The headroom
-    # H = -ln min kernel = theta max d is required: z_{n+1} ranges over
-    # [e^-H, M], so without it a weight that exp rounds to 0 could come back
+    # divided by s_{n+1}, and V_n = f_n - ln z_n / theta + h_n, where h_n sums
+    # min f_m - (ln s_m - H) / theta over m > n.  The headroom H = -ln min
+    # kernel = theta max d is required: z_{n+1} ranges over [e^-H, M] max
+    # u_{n+1}, so without it a weight that exp rounds to 0 could come back
     # by a z ratio of up to e^H (at theta max d = 699 that moved policy
-    # entries by 1).  With it the best option's product is at least 1, so a
-    # weight lost to underflow is below M e^-745 of the day's largest and
-    # below M e^-45 of z, the bound of _soft_backup.  The products stay below
-    # M e^H, finite for M below about 17,000.  One exp before the loop and
-    # one log after it; a day is one mat-vec and three elementwise calls.
+    # entries by 1).  With it the best option's product is e^H (K u)(b) >=
+    # max u: max u never falls, so a weight lost to underflow is below
+    # M e^-745 of the day's largest and below M e^-45 of z, the bound of
+    # _soft_backup.  A day multiplies max u by at most M e^H, so s_m is the
+    # product's max every ``stride`` days, the most that keep the products
+    # below the float range from max u = 1 (the 1 off ln(float max) covers
+    # their rounding), and 1 on the days between.  That is no day in 30 on
+    # route_e1t1 (H = 1), every 11th day on bottleneck_e1t20 (H = 58.5,
+    # M = 40) and every day near the kernel limit; the stride is at least 1,
+    # so the products stay finite for M below about 17,000.  After the loop
+    # the values take ln z; then one broadcast scales each day's u to max 1
+    # and one matrix product forms z = K u from it, so the push, the fold and
+    # _softmax_policies get the ranges and factors of a daily rescale (the
+    # loop's z divided by the scale moved the pushed flows by about an ulp).
+    # One exp before the loop and one log after it; a day is one mat-vec and
+    # one product.
     head = -math.log(kernel.min())
+    growth = head + math.log(m)
+    stride = max(1, int((_LOG_FLOAT_MAX - 1.0) / growth)) if growth > 0.0 else n_days
     weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + head)
     u = np.empty((n_days, m))
     z = np.empty((n_days, m))
@@ -315,9 +330,10 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     u[-1] = 1.0
     for n in range(n_days - 1, 0, -1):
         p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
-        # The max over a list, as a Python float: faster than an array's.
-        scale[n] = top = max(p.tolist())
-        p /= top
+        if (n_days - n) % stride == 0:
+            # The max over a list, as a Python float: faster than an array's.
+            scale[n] = top = max(p.tolist())
+            p /= top
     kernel.dot(u[0], out=z[0])
     h = np.zeros(n_days)
     h[:-1] = f_min[1:] - (np.log(scale[1:]) - head) / theta
@@ -327,6 +343,8 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     values[:-1] /= -theta
     values[:-1] += f_table
     values[:-1] += h[:, None]
+    u /= u.max(axis=1, keepdims=True)
+    np.dot(u, kernel.T, out=z)
     return values, u, z
 
 
@@ -408,9 +426,9 @@ def _forward_propagate_core(kernel, u, z, mu0, row=None):
         ratio = u[:-1] / z[1:]
         nu = np.empty((n_days, m))
         np.divide(mu0, z[0], out=nu[0])
-        for n in range(n_days - 1):
-            np.dot(nu[n], kernel, out=nu[n + 1])
-            nu[n + 1] *= ratio[n]
+        for today, tomorrow, r in zip(nu, nu[1:], ratio):
+            np.dot(today, kernel, out=tomorrow)
+            tomorrow *= r
         push = np.multiply(nu[1:], z[1:], out=out[1:])
         total = out.sum(axis=1)
         drift = np.abs(total[1:] / total[:-1] - 1.0)

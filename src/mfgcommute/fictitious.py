@@ -18,39 +18,39 @@ Gibbs kernel and (u_n, z_n) the factors the backward sweep already computes,
 so the induced flow is mu_{n+1} = u_n * ((mu_n / z_n) K): one vector-matrix
 product a day, the scaling form in which Sinkhorn's algorithm applies a
 Gibbs plan without building it (Cuturi, NeurIPS 2013).  The sweep runs in
-the same form (``core._backward_induction_core``): a day is one mat-vec and
-three elementwise calls, and its exp and log run once over all days.  The
-push keeps mass, so it renormalizes once, after its loop.  On a 2-core Xeon
-with numpy 2.4 and BLAS on one thread, one day's push takes 1.6 us this way
-against 4.2 us as an elementwise M x M product and column sum at M = 40
-(1.8 against 3.5 us at M = 6).  A 30-day push takes 57 us against 149 us
-with a renormalization each day at M = 40, and the sweep 148 against 196 us
-with a log and an exp each day (best of seven; 52 against 85 and 85 against
-185 us at M = 6).  An iteration on route_e1t1 takes 226 against 352 us, on
-bottleneck_e1t20 542 against 830 us (best of three interleaved runs of
-1,000 iterations).  The flows equal ``forward_propagate`` of the tables up
-to rounding: within 3.3e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20
-over 100 iterations.
+the same form (``core._backward_induction_core``), one mat-vec and one
+product a day.  Like stabilized Sinkhorn scaling, it rescales its vector only
+where a bound says the float range needs it (Schmitzer, SIAM J. Sci. Comput.
+2019), and its exp and log run once over all days.  The push keeps mass, so
+it renormalizes once, after its loop.  On a 2-core Xeon with numpy 2.4 and
+BLAS on one thread, one day's push takes 1.6 us this way against 4.2 us as
+an elementwise M x M product and column sum at M = 40 (1.8 against 3.5 us
+at M = 6).  A 30-day sweep takes 82 us against 120 us rescaling every day
+at M = 40, and 61 against 87 us at M = 6; the push 49 and 43 us (best of
+seven).  An iteration on route_e1t1 takes 165 us, on bottleneck_e1t20
+425 us (best of three runs of 1,000 iterations).  The flows equal
+``forward_propagate`` of the tables up to rounding: within 2.8e-16 on
+route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100 iterations.
 
 With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
 one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
 for a scalar g_n, and the pushed flow u_n * k / z_n does not depend on mu_n.
 The sweep and the push then take no day loop: each of their stages is one
 call over all N days (``core._backward_induction_core``).  On the same
-machine one iteration takes 83 us against 219 us through the day loop on
-route_e0t1 (87 against 207 on route_e0t20, 332 against 483 on
-bottleneck_e0t20), and the results equal the day loop's up to rounding.
-Every epsilon > 0 config runs the day loop.
+machine one iteration takes 69 us against 159 us through the day loop on
+route_e0t1, and the results equal the day loop's up to rounding.  Every
+epsilon > 0 config runs the day loop.
 
 No policy table enters the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
 pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s) either.  With pol_n^i =
 diag(1/z) K diag(u), num_n = K * A_n for A_n = sum_i (mf_n^i / z_n^i) u_n^i,
-an outer product of two vectors a day, folded in one pass and one add: 80
-against 161 us at M = 40, where the tables took four passes.  The loop
-keeps occ = A min K, with min K = e^-H and H = theta max d: mf / z is at
-most e^H, so A could grow past the float range over a long run at the
-kernel limit, while occ stays at most k.  The tables num = G * occ, with
-G = K / min K, are formed only at a stop candidate.
+an outer product of two vectors a day, formed by one einsum into one buffer
+and folded by one add: the einsum takes 34 us at M = 40, against 60 us as a
+broadcast product, with the same bits.  The loop keeps occ = A min K, with
+min K = e^-H and H = theta max d: mf / z is at most e^H, so A could grow
+past the float range over a long run at the kernel limit, while occ stays
+at most k.  The tables num = G * occ, with G = K / min K, are formed only at
+a stop candidate.
 
 Consistency also prices the average policy without a backward sweep.  With
 k iterates folded, its cost from mu0 is
@@ -269,7 +269,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * induced
         # Fold into the occupancy sums: one outer product into one buffer
         # per run, and no policy table.
-        np.multiply((induced / z * k_min)[:, :, None], u[:, None, :], out=weighted)
+        np.einsum("ni,nj->nij", induced / z * k_min, u, out=weighted)
         occ += weighted
         den += induced
 

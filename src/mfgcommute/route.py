@@ -91,7 +91,7 @@ def link_flows(mu, net: RoadNetwork) -> np.ndarray:
         raise InvalidInputError(
             f"mean field must have one entry per path ({net.num_paths})"
         )
-    return net.demand * (mu[..., :, None] * net.incidence).sum(axis=-2)
+    return net.demand * np.einsum("...s,sl->...l", mu, net.incidence)
 
 
 def path_costs(mu, net: RoadNetwork) -> np.ndarray:
@@ -102,7 +102,7 @@ def path_costs(mu, net: RoadNetwork) -> np.ndarray:
     """
     v = link_flows(mu, net)
     times = net.free_flow * (1.0 + net.coef * (v / net.capacity) ** 4)
-    return (net.incidence * times[..., None, :]).sum(axis=-1)
+    return np.einsum("...l,sl->...s", times, net.incidence)
 
 
 @dataclass(frozen=True)

@@ -602,22 +602,27 @@ def test_scaling_form_keeps_its_headroom_at_the_kernel_limit(theta_d_max):
     # A weight exp would round to 0 can come back by a z ratio of up to
     # e^(theta max d); the sweep's headroom H = theta max d keeps it.  Every
     # day must still be the brute-force backup of the next day's values, and
-    # the push forward_propagate of the explicit tables.
+    # the push forward_propagate of the explicit tables.  The sweep rescales
+    # u inside its loop every floor((ln float max - 1) / (H + ln M)) days:
+    # 13 at theta max d = 50, so only the 60-day horizon reaches that
+    # rescale there.  Every day's u comes back with max exactly 1.
     rng = np.random.default_rng(24)
-    for m in (3, 5, 8):
-        for _ in range(8):
-            cm = headroom_cost_model(rng, m, theta_d_max)
-            mu = rng.dirichlet(np.ones(m), size=12)
-            f_table = cm.cost(mu)
-            weights = np.exp((f_table.min(axis=1)[:, None] - f_table) * cm.theta)
-            assert (weights == 0.0).any()
-            values, policies = backward_induction(mu, cm)
-            for n in range(len(mu)):
-                assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
-            mu0 = rng.dirichlet(np.ones(m))
-            _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
-            got = _forward_propagate_core(cm.kernel, u, z, mu0)
-            assert np.max(np.abs(got - forward_propagate(policies, mu0))) <= 1e-15
+    for n_days in (12, 60):
+        for m in (3, 5, 8):
+            for _ in range(8):
+                cm = headroom_cost_model(rng, m, theta_d_max)
+                mu = rng.dirichlet(np.ones(m), size=n_days)
+                f_table = cm.cost(mu)
+                weights = np.exp((f_table.min(axis=1)[:, None] - f_table) * cm.theta)
+                assert (weights == 0.0).any()
+                values, policies = backward_induction(mu, cm)
+                for n in range(n_days):
+                    assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
+                mu0 = rng.dirichlet(np.ones(m))
+                _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
+                assert (u.max(axis=1) == 1.0).all()
+                got = _forward_propagate_core(cm.kernel, u, z, mu0)
+                assert np.max(np.abs(got - forward_propagate(policies, mu0))) <= 1e-15
 
 
 def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal(repo_root):

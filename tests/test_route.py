@@ -156,17 +156,22 @@ def test_route_cost_model_bound_dominates_costs(grid9, route_cm_e1t1):
     assert np.all(d >= 0.0) and np.all(d <= route_cm_e1t1.bound_C)
 
 
-def test_cost_model_batched_rows_equal_single_days(route_cm_e1t1):
+def test_cost_model_batched_rows_equal_single_days(grid9, route_cm_e1t1):
     # Fictitious play prices a whole horizon in one call and the stationary
     # solver one day at a time; their results are comparable only while
-    # every batched row equals the single-day call bit for bit.
+    # every batched row equals the single-day call bit for bit.  einsum
+    # picks its inner loop by the operands' shapes, so the check covers a
+    # stacked batch of horizons and a batch of one day, and the link flows
+    # as well as the path costs.
     cm = route_cm_e1t1
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        mu_seq = rng.dirichlet(np.ones(cm.M), size=30)
-        batch = cm.cost(mu_seq)
-        for n in range(30):
-            assert np.array_equal(batch[n], cm.cost(mu_seq[n]))
+    for shape in [(30,)] * 20 + [(2, 30), (1,)]:
+        mu_seq = rng.dirichlet(np.ones(cm.M), size=shape)
+        for call in (cm.cost, lambda mu: link_flows(mu, grid9)):
+            batch = call(mu_seq)
+            assert batch.shape[:-1] == shape
+            for index in np.ndindex(shape):
+                assert np.array_equal(batch[index], call(mu_seq[index]))
 
 
 def no_inertia(net, theta):
