@@ -14,16 +14,19 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   order can move them by rounding while ``fp/<config>`` stays put;
 - ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
   each shipped config (the pair, or the failure payload when it stalls);
-- ``cap30/<config>``: the legacy damped loop, 30 rounds with
-  ``fallback=False``, on each shipped config (the pair, or the failure
-  payload when the cap is reached);
-- ``damped/bottleneck_e1t20``: a 20-round damped solve at ``damping=2**-9``;
+- ``cap30/<config>``: the legacy damped loop, 30 rounds from the uniform
+  distribution at ``damping=0.5`` with ``fallback=False``, on each shipped
+  config (the pair, or the failure payload when the cap is reached);
+- ``damped/bottleneck_e1t20``: a 20-round damped solve from the uniform
+  distribution at ``damping=2**-9``;
 - ``bellman/<config>``: the public table builders on each shipped config,
   ``bellman_apply`` at one random (V, mu) and ``backward_induction`` at one
   random mean field sequence, drawn from ``np.random.default_rng(0)``.
 
-The script calls the package's public API only, so it can fingerprint a
-tree older than itself.
+The script calls the package's public API, and ``cli._resolve_mu0`` for
+the configs' initial distributions, so it can fingerprint a tree older
+than itself.  The damped cases pass all four of ``solve_smfe``'s
+legacy keywords, which the loop needs and older trees accept.
 
 The package is imported from whichever ``src/`` comes first on
 ``PYTHONPATH``; the configs and scenarios are this checkout's.  Compare the
@@ -46,7 +49,12 @@ from pathlib import Path
 import numpy as np
 
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
-from mfgcommute.core import SolverFailure, backward_induction, bellman_apply
+from mfgcommute.core import (
+    SolverFailure,
+    backward_induction,
+    bellman_apply,
+    uniform_distribution,
+)
 from mfgcommute.fictitious import FPConfig, fictitious_play
 from mfgcommute.stationary import solve_smfe
 
@@ -100,9 +108,11 @@ def main() -> None:
         hashes[f"bellman/{name}"] = bellman_case(cfg, cm)
     for name, (_, cm) in models.items():
         hashes[f"smfe/{name}"] = smfe_case(cm)
-        hashes[f"cap30/{name}"] = smfe_case(cm, max_outer=30, fallback=False)
+        hashes[f"cap30/{name}"] = smfe_case(cm, init=uniform_distribution(cm.M), damping=0.5,
+                                            max_outer=30, fallback=False)
+    cm = models["bottleneck_e1t20"][1]
     hashes["damped/bottleneck_e1t20"] = smfe_case(
-        models["bottleneck_e1t20"][1], damping=2.0**-9, max_outer=20, fallback=False)
+        cm, init=uniform_distribution(cm.M), damping=2.0**-9, max_outer=20, fallback=False)
     print(json.dumps(hashes, indent=1))
 
 

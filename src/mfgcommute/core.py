@@ -348,13 +348,12 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     return values, u, z
 
 
-def _softmax_policies(kernel, u, z, out=None):
+def _softmax_policies(kernel, u, z):
     # The package's one builder of softmax policy tables, pi(x|s) =
     # kernel(s, x) u(x) / z(s) from the factors of _soft_backup: one day's
     # (M,) factors give one (M, M) table, a sweep's (N, M) factors all N
-    # tables in one broadcast.  Formed in place, into ``out`` when given,
-    # else into one fresh array.
-    out = np.multiply(kernel, u[..., None, :], out=out)
+    # tables in one broadcast, formed in place in one fresh array.
+    out = kernel * u[..., None, :]
     out /= z[..., :, None]
     return out
 

@@ -222,19 +222,21 @@ def solve_smfe(
     is not positive.
 
     The keywords ``init``, ``damping``, ``max_outer`` and ``fallback`` are
-    legacy: given any of them, the former damped loop, ``_solve_damped``,
-    runs instead, bit for bit, with its own defaults (0.5, 100_000 and True)
-    for the rest.  They are kept for the benchmark's ``bottleneck-smfe``
-    workload, which times that loop from a warm start, for
-    ``scripts/fingerprint.py``'s ``cap30`` and ``damped`` cases, and for the
-    tests that compare the two solvers.
+    legacy: given all four, the former damped loop, ``_solve_damped``, runs
+    instead, at the fixed step ``damping``; given some but not all,
+    InvalidInputError names the missing ones.  They are kept only for the
+    benchmark's ``bottleneck-smfe`` workload, which times that loop from a
+    warm start, and for ``scripts/fingerprint.py``'s ``cap30`` and
+    ``damped`` cases.
     """
     tol = _number(tol, "tol")
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
     legacy = {"init": init, "damping": damping, "max_outer": max_outer, "fallback": fallback}
-    legacy = {name: value for name, value in legacy.items() if value is not None}
-    if legacy:
+    missing = [name for name, value in legacy.items() if value is None]
+    if 0 < len(missing) < len(legacy):
+        raise InvalidInputError(f"the damped loop needs {', '.join(missing)} as well")
+    if not missing:
         return _solve_damped(cm, tol=tol, **legacy)
     equations, pair = _pair_equations(cm)
     x, stop = _newton(equations, np.zeros(cm.M - 1), "stationary pair")
@@ -249,46 +251,31 @@ def solve_smfe(
     )
 
 
-def _solve_damped(
-    cm: CostModel,
-    init=None,
-    tol: float = 1e-8,
-    damping: float = 0.5,
-    max_outer: int = 100_000,
-    fallback: bool = True,
-) -> StationaryPair:
-    """The former stationary solver: alternating value and distribution updates.
+def _solve_damped(cm: CostModel, *, init, tol: float, damping: float, max_outer: int,
+                  fallback: bool) -> StationaryPair:
+    """The former stationary solver, kept for the benchmark and the fingerprint alone.
 
-    Reached only through ``solve_smfe``'s legacy keywords, which checks
+    Reached only through ``solve_smfe``'s four legacy keywords, which checks
     ``tol``.  Each outer round solves the average-cost values exactly at the
-    current distribution, then damps the distribution toward the invariant
-    law of the induced policy, mu <- (1 - step) mu + step nu.  A round
-    prices its pair once: r1 comes from the backup G V that ends the value
-    solve and r2 from one forward step of its policy, the formulas of
-    ``smfe_residuals`` without its input checks and second backup.  The step starts at
-    ``damping`` and halves after 50 rounds without a new least r2, down to
-    2**-20: a fixed step can lock into a two-cycle when theta times the cost
-    spread is stiff.  With ``fallback``, the first round from round
-    min(5000, max_outer // 2) on whose r2 exceeds 1e-3 re-seeds, once: one
-    long-horizon fictitious play run supplies the distribution from the
-    middle of its horizon, where the equilibrium is closest to stationary,
-    and the step starts over.  Raises SolverFailure if the cap is exhausted;
-    its payload holds the last pair priced with that pair's r1 and r2.  A
-    start near a solution needs a small ``damping``: at 0.5, ``init`` set to
-    route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9 to
-    0.92 in 20 rounds.  Raises InvalidInputError for ``damping`` outside
-    (0, 1] or ``max_outer`` below 1.
+    current distribution, then moves the distribution toward the invariant
+    law nu of the induced policy at the fixed step ``damping``: mu <- (1 -
+    damping) mu + damping nu.  A round prices its pair once, r1 from the
+    backup G V that ends the value solve and r2 from one forward step of its
+    policy.  With ``fallback``, the first round from round min(5000,
+    max_outer // 2) on whose r2 exceeds 1e-3 re-seeds, once, from the middle
+    day of one long-horizon fictitious play run.  Raises SolverFailure if
+    the cap is exhausted, its payload the last pair priced with that pair's
+    r1 and r2; InvalidInputError for ``damping`` outside (0, 1] or
+    ``max_outer`` below 1.  A start near a solution needs a small step: at
+    0.5, route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9
+    to 0.92 in 20 rounds.
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must be in (0, 1]")
     if max_outer < 1:
         raise InvalidInputError("max_outer must be at least 1")
-    if init is None:
-        mu = uniform_distribution(cm.M)
-    else:
-        mu = check_stochastic(init, "initial distribution", (cm.M,))
+    mu = check_stochastic(init, "initial distribution", (cm.M,))
     v = np.zeros(cm.M)
-    step, least_r2, stalled = damping, math.inf, 0
     reseed_at = min(5_000, max_outer // 2) if fallback else math.inf
     for outer in range(max_outer):
         v, lam, pi, backed = _relative_values(cm, mu, v)
@@ -303,18 +290,10 @@ def _solve_damped(
                           exploitability_tol=1e-9)
             mu = fictitious_play(cm, fp).avg_mf[100]
             v = np.zeros(cm.M)
-            step, least_r2, stalled = damping, math.inf, 0
             reseed_at = math.inf
             logger.info("stationary solve re-seeded from long-horizon run")
             continue
-        if r2 < least_r2:
-            least_r2, stalled = r2, 0
-        else:
-            stalled += 1
-            if stalled >= 50 and step > 2.0**-20:
-                step *= 0.5
-                stalled = 0
-        mu = (1.0 - step) * mu + step * _stationary_distribution(pi)
+        mu = (1.0 - damping) * mu + damping * _stationary_distribution(pi)
         mu = mu / math.fsum(mu)
     raise SolverFailure(
         f"stationary solve stopped at residuals r1={r1:.3e}, r2={r2:.3e}",

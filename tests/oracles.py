@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way (pure Python
 loops, explicit formulas) so it shares no code path with the package.  The
 log-domain sweep and push are numpy day loops, but their own: the log form
-the package's scaling-form sweep replaced.  The one exception,
-``concavity_check``, tests a property of the package's own public backup and
-push rather than recomputing them.
+the package's scaling-form sweep replaced.  Two exceptions rest on the
+package's public backup and push: ``concavity_check`` tests a property of
+them rather than recomputing them, and ``hybr_pair`` prices the stationary
+pair equations with them but finds their root by scipy, not by the
+package's Newton solve.
 """
 
 from __future__ import annotations
@@ -13,8 +15,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.optimize import root
+from scipy.special import softmax
 
-from mfgcommute.core import bellman_apply, forward_step
+from mfgcommute.core import CostModel, bellman_apply, forward_step
+from mfgcommute.stationary import StationaryPair
+
+# Certificate of the pairs that ``hybr_pair`` returns.
+HYBR_TOL = 1e-12
 
 
 def brute_forward_step(pi, mu):
@@ -215,3 +223,87 @@ def concavity_check(v, v_alt, mu, cm) -> bool:
     pushed = forward_step(pi, mu)
     aggregate = float(np.sum(mu * (g_alt - g_v))) <= float(np.sum(diff * pushed)) + slack
     return bool(np.all(per_state)) and aggregate
+
+
+def rescan_average_policy(history, j):
+    """Occupancy-weighted average of the first ``j`` (flow, policy) iterates, row by row.
+
+    Row s of day n is sum_i mf_i(n, s) pi_i(n, s, .) over sum_i mf_i(n, s),
+    each sum by ``math.fsum``, then divided by its own sum; a row that no
+    iterate visits is uniform.
+    """
+    n_days, m = np.shape(history[0][0])
+    out = np.empty((n_days, m, m))
+    for n in range(n_days):
+        for s in range(m):
+            weights = [float(mf[n][s]) for mf, _ in history[:j]]
+            den = math.fsum(weights)
+            if den == 0.0:
+                out[n, s] = 1.0 / m
+                continue
+            row = [math.fsum(w * float(pol[n][s][x])
+                             for w, (_, pol) in zip(weights, history[:j])) / den
+                   for x in range(m)]
+            total = math.fsum(row)
+            out[n, s] = [r / total for r in row]
+    return out
+
+
+def hybr(residual, x0):
+    """scipy's hybr at xtol 1e-14, restarted once from where it stopped."""
+    sol = root(residual, x0, method="hybr", options={"xtol": 1e-14})
+    if not np.max(np.abs(sol.fun)) <= HYBR_TOL:
+        sol = root(residual, sol.x, method="hybr", options={"xtol": 1e-14})
+    return sol
+
+
+def hybr_pair(cm):
+    """The stationary pair of ``cm`` by scipy's hybr, by continuation in the inertia.
+
+    Solves the full pair equations, G V = V + lambda and K_pi mu = mu with
+    V(0) = 0 and mu in logit form, priced by the public ``bellman_apply``
+    and ``forward_step``.  It starts at the logit pair, exact without
+    inertia: mu the logit equilibrium mu = softmax(-theta f(mu)) (itself
+    solved by hybr in logit form from the uniform split), V = f(mu) -
+    f(mu)(0) and lambda = f(mu)(0) - ln sum exp(-theta V) / theta.  It then
+    scales the inertia by 0.25, 0.5, 0.75 and 1, each solve started from the
+    last answer.  Raises RuntimeError unless both residuals of the returned
+    pair are within HYBR_TOL.
+    """
+    m = cm.M
+
+    def logit_form(z):
+        f = cm.cost(softmax(np.concatenate([[0.0], z])))
+        return z + cm.theta * (f[1:] - f[0])
+
+    z = hybr(logit_form, np.zeros(m - 1)).x
+    mu = softmax(np.concatenate([[0.0], z]))
+    f = cm.cost(mu)
+    v = f - f[0]
+    lam = f[0] - math.log(float(np.exp(-cm.theta * v).sum())) / cm.theta
+    x = np.concatenate([v[1:], [lam], z])
+
+    def unpack(x):
+        return (np.concatenate([[0.0], x[:m - 1]]), float(x[m - 1]),
+                softmax(np.concatenate([[0.0], x[m:]])))
+
+    def residuals(x, model):
+        v, lam, mu = unpack(x)
+        backed, pi = bellman_apply(v, mu, model)
+        return backed - v - lam, forward_step(pi, mu) - mu, pi
+
+    for scale in (0.25, 0.5, 0.75, 1.0):
+        scaled = CostModel(cost=cm.cost, inertia_matrix=scale * cm.inertia_matrix,
+                           theta=cm.theta, bound_C=cm.bound_C)
+
+        def equations(x):
+            g, balance, _ = residuals(x, scaled)
+            return np.concatenate([g, balance[1:]])
+
+        x = hybr(equations, x).x
+    v, lam, mu = unpack(x)
+    g, balance, pi = residuals(x, cm)
+    r1, r2 = float(np.max(np.abs(g))), float(np.max(np.abs(balance)))
+    if not max(r1, r2) <= HYBR_TOL:
+        raise RuntimeError(f"hybr pair not certified: residuals ({r1:.2e}, {r2:.2e})")
+    return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)

@@ -19,6 +19,7 @@ from mfgcommute.fictitious import (
 )
 from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from conftest import make_table_cost_model
+from oracles import rescan_average_policy
 
 # Exploitability of the all-uniform policy pair on the epsilon=theta=1 route
 # scenario, frozen from a converged evaluation of the two cost totals.
@@ -214,8 +215,10 @@ def test_incremental_average_matches_rescan(monkeypatch, route_cm_e1t1, grid9_mu
         history.append((mf, pol))
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * mf
     snapshot = [(mf.copy(), pol.copy()) for mf, pol in history]
-    rescan = fp_average_policy(history, 8)
-    # The rescan reference must not share the loop's in-place fold.
+    rescan = rescan_average_policy(history, 8)
+    # The package's own rescan meets the same reference and must not share
+    # the loop's in-place fold.
+    assert np.max(np.abs(fp_average_policy(history, 8) - rescan)) <= 4 * np.finfo(float).eps
     for (mf, pol), (mf_was, pol_was) in zip(history, snapshot):
         assert np.array_equal(mf, mf_was) and np.array_equal(pol, pol_was)
 

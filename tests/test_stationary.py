@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import root
 from scipy.special import softmax
 
 from mfgcommute import stationary
@@ -17,6 +16,8 @@ from mfgcommute.core import (
     CostModel,
     InvalidInputError,
     SolverFailure,
+    _soft_backup,
+    _softmax_policies,
     backward_induction,
     bellman_apply,
     dist_distance,
@@ -37,7 +38,7 @@ from mfgcommute.stationary import (
     value_gap_check,
 )
 from conftest import make_table_cost_model
-from oracles import brute_value_gap_check
+from oracles import brute_value_gap_check, hybr, hybr_pair
 
 # Frozen diagnostics: residual after shifting 0.05 of mass between the first
 # two states of the converged epsilon=theta=1 stationary distribution, and
@@ -70,14 +71,6 @@ def fp_e1t1(route_cm_e1t1, grid9_mu0):
     )
 
 
-def _hybr(residual, x0):
-    """scipy's hybr at xtol 1e-14, restarted once from where it stopped."""
-    sol = root(residual, x0, method="hybr", options={"xtol": 1e-14})
-    if not np.max(np.abs(sol.fun)) <= EXACT_TOL:
-        sol = root(residual, sol.x, method="hybr", options={"xtol": 1e-14})
-    return sol
-
-
 @pytest.fixture(scope="module")
 def exact_e1t1(route_cm_e1t1, grid9_mu0, fp_e1t1):
     """The route_e1t1 finite-horizon equilibrium, solved to rounding.
@@ -105,7 +98,7 @@ def exact_e1t1(route_cm_e1t1, grid9_mu0, fp_e1t1):
 
     start = fp_e1t1.avg_mf[1:]
     z0 = np.log(start[:, 1:]) - np.log(start[:, :1])
-    sol = _hybr(residual, z0.ravel())
+    sol = hybr(residual, z0.ravel())
     mu = mean_field(sol.x.reshape(z0.shape))
     flow, pi = phi(mu)
     gap = dist_distance(flow, mu)
@@ -118,50 +111,9 @@ def exact_e1t1(route_cm_e1t1, grid9_mu0, fp_e1t1):
 
 
 @pytest.fixture(scope="module")
-def damped_pairs(repo_root):
-    """The damped loop's pair on each route config, at that loop's defaults.
-
-    Passing its default ``damping`` selects the legacy loop.
-    """
-    pairs = {}
-    for name in ("route_e1t1", "route_e0t1", "route_e0t20"):
-        cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
-        pairs[name] = cm, solve_smfe(cm, damping=0.5)
-    return pairs
-
-
-@pytest.fixture(scope="module")
-def exact_pair_e1t1(route_cm_e1t1, damped_pairs):
-    """The route_e1t1 stationary pair, solved to rounding.
-
-    The damped loop stops at its 1e-8 tolerance.  This solves G V = V + lambda
-    and K_pi mu = mu with V(0) = 0 and mu in logit form by hybr, started from
-    that pair, and raises unless both residuals are within EXACT_TOL.  It
-    shares no code with the Newton solve but the Bellman backup.
-    """
-    pair_e1t1 = damped_pairs["route_e1t1"][1]
-    cm, m = route_cm_e1t1, route_cm_e1t1.M
-
-    def unpack(x):
-        v = np.concatenate([[0.0], x[:m - 1]])
-        mu = softmax(np.concatenate([[0.0], x[m:]]))
-        return v, float(x[m - 1]), mu
-
-    def residual(x):
-        v, lam, mu = unpack(x)
-        backed, pi = bellman_apply(v, mu, cm)
-        return np.concatenate([backed - v - lam, (forward_step(pi, mu) - mu)[1:]])
-
-    mu = pair_e1t1.mu_bar
-    x0 = np.concatenate([pair_e1t1.V_bar[1:] - pair_e1t1.V_bar[0],
-                         [pair_e1t1.lambda_bar], np.log(mu[1:] / mu[0])])
-    v, lam, mu = unpack(_hybr(residual, x0).x)
-    pair = StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam,
-                          pi_bar=bellman_apply(v, mu, cm)[1])
-    r1, r2 = smfe_residuals(pair, cm)
-    if not max(r1, r2) <= EXACT_TOL:
-        raise RuntimeError(f"exact stationary solve failed: residuals ({r1:.2e}, {r2:.2e})")
-    return pair
+def exact_pair_e1t1(route_cm_e1t1):
+    """The route_e1t1 stationary pair, solved to rounding by ``oracles.hybr_pair``."""
+    return hybr_pair(route_cm_e1t1)
 
 
 @pytest.fixture(scope="module")
@@ -371,12 +323,20 @@ def test_augmented_profile_generic_not_flat_and_validation():
 
 
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
+    # The Newton solve of the pair equations, started from spread value
+    # vectors instead of V = 0, certifies the cold start's pair every time.
+    cm = route_cm_e1t1
+    cold = solve_smfe(cm)
+    equations, pair = stationary._pair_equations(cm)
     rng = np.random.default_rng(2)
-    pairs = [solve_smfe(route_cm_e1t1, init=rng.dirichlet(np.ones(6)))
-             for _ in range(10)]
-    for a in pairs:
-        for b in pairs:
-            assert dist_distance(a.mu_bar, b.mu_bar) <= 1e-6
+    for _ in range(10):
+        start = 2.0 * rng.normal(size=cm.M - 1)
+        x, stop = stationary._newton(equations, start, "spread start")
+        v, lam, pi, mu, _ = pair(x)
+        r1, r2 = smfe_residuals(StationaryPair(v, mu, lam, pi), cm)
+        assert stop == "converged" and r1 <= 1e-8 and r2 <= 1e-8
+        assert dist_distance(mu, cold.mu_bar) <= 1e-12
+        assert np.max(np.abs(v - cold.V_bar)) <= 1e-12
 
 
 def test_stationary_matches_day_to_day_tail(pair_e1t1, fp_e1t1):
@@ -414,7 +374,8 @@ def test_solver_failure_carries_residuals():
     # An impossible tolerance must surface as a failure with diagnostics.
     cm = two_state_model()
     with pytest.raises(SolverFailure) as exc:
-        solve_smfe(cm, tol=1e-16, max_outer=40, fallback=False)
+        solve_smfe(cm, tol=1e-16, init=uniform_distribution(2), damping=0.5,
+                   max_outer=40, fallback=False)
     assert exc.value.payload is not None
     assert "r2" in exc.value.payload
 
@@ -427,9 +388,9 @@ def test_solver_failure_payload_is_the_pair_its_residuals_measure(
     # reports the pair it stalled at.
     bottleneck = bottleneck_cm_e1t20[0]
     stiff = route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0))
-    for cm, knobs in ((route_cm_e1t1, {"max_outer": 30, "fallback": False}),
-                      (bottleneck, {"max_outer": 30, "fallback": False}),
-                      (stiff, {})):
+    for cm, damped in ((route_cm_e1t1, True), (bottleneck, True), (stiff, False)):
+        knobs = {"init": uniform_distribution(cm.M), "damping": 0.5, "max_outer": 30,
+                 "fallback": False} if damped else {}
         with pytest.raises(SolverFailure) as exc:
             solve_smfe(cm, **knobs)
         p = exc.value.payload
@@ -440,7 +401,20 @@ def test_solver_failure_payload_is_the_pair_its_residuals_measure(
 
 def test_solve_smfe_rejects_an_init_of_the_wrong_length():
     with pytest.raises(InvalidInputError):
-        solve_smfe(two_state_model(), init=uniform_distribution(3))
+        solve_smfe(two_state_model(), init=uniform_distribution(3), damping=0.5,
+                   max_outer=100_000, fallback=True)
+
+
+def test_solve_smfe_needs_all_four_legacy_keywords(route_cm_e1t1):
+    # Some but not all of the damped loop's keywords name the missing ones
+    # before any round runs.
+    given = {"init": uniform_distribution(6), "damping": 0.5, "max_outer": 5,
+             "fallback": False}
+    for drop in (("init",), ("damping", "fallback"), ("init", "damping", "max_outer")):
+        with pytest.raises(InvalidInputError) as exc:
+            solve_smfe(route_cm_e1t1, **{k: v for k, v in given.items() if k not in drop})
+        assert all(name in str(exc.value) for name in drop)
+        assert not any(name in str(exc.value) for name in given if name not in drop)
 
 
 def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
@@ -449,7 +423,8 @@ def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
     for knobs in ({"damping": -0.5}, {"damping": 0.0}, {"max_outer": 0},
                   {"tol": float("nan")}):
         with pytest.raises(InvalidInputError):
-            solve_smfe(route_cm_e1t1, **{"max_outer": 5, "fallback": False, **knobs})
+            solve_smfe(route_cm_e1t1, **{"init": uniform_distribution(6), "damping": 0.5,
+                                         "max_outer": 5, "fallback": False, **knobs})
 
 
 def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
@@ -465,15 +440,13 @@ def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
 
 
 @pytest.mark.parametrize("name", ["route_e1t1", "route_e0t1", "route_e0t20"])
-def test_newton_pair_on_the_route_configs(damped_pairs, exact_pair_e1t1, name):
-    cm, damped = damped_pairs[name]
+def test_newton_pair_on_the_route_configs(repo_root, name):
+    cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
     pair = solve_smfe(cm)
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
     assert pair.V_bar[0] == 0.0
-    assert dist_distance(pair.mu_bar, damped.mu_bar) <= 1e-7
-    if name == "route_e1t1":
-        assert dist_distance(pair.mu_bar, exact_pair_e1t1.mu_bar) <= 1e-12
+    assert dist_distance(pair.mu_bar, hybr_pair(cm).mu_bar) <= 1e-12
 
 
 def test_newton_pair_is_the_logit_point_that_repels_fictitious_play(repo_root):
@@ -484,6 +457,7 @@ def test_newton_pair_is_the_logit_point_that_repels_fictitious_play(repo_root):
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
     assert dist_distance(pair.mu_bar, logit_sue(cm)) <= 1e-10
+    assert dist_distance(pair.mu_bar, hybr_pair(cm).mu_bar) <= 1e-12
 
 
 SHIPPED = ["route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottleneck_e0t20"]
@@ -511,41 +485,15 @@ def test_newton_pair_is_certified(repo_root, grid9, name):
 
 
 def test_newton_pair_on_bottleneck_e1t20_matches_a_continuation(bottleneck_cm_e1t20):
-    # An independent path to the same pair: hybr on the full pair equations,
-    # G V = V + lambda and K_pi mu = mu with V(0) = 0 and mu in logit form,
-    # priced by the public backup and push as in exact_pair_e1t1.  It starts
-    # at the logit equilibrium's pair, exact at epsilon = 0 (mu the SUE and
-    # V = f(mu) - f(mu)(0)), and scales the inertia up to the model's own in
-    # four steps, each started from the last answer.
-    cm, m = bottleneck_cm_e1t20[0], bottleneck_cm_e1t20[0].M
-
-    def unpack(x):
-        v = np.concatenate([[0.0], x[:m - 1]])
-        return v, float(x[m - 1]), softmax(np.concatenate([[0.0], x[m:]]))
-
-    mu = logit_sue(cm)
-    f = cm.cost(mu)
-    v = f - f[0]
-    lam = f[0] - math.log(float(np.exp(-cm.theta * v).sum())) / cm.theta
-    x = np.concatenate([v[1:], [lam], np.log(mu[1:] / mu[0])])
-    for scale in (0.25, 0.5, 0.75, 1.0):
-        scaled = CostModel(cost=cm.cost, inertia_matrix=scale * cm.inertia_matrix,
-                           theta=cm.theta, bound_C=cm.bound_C)
-
-        def residual(x):
-            v, lam, mu = unpack(x)
-            backed, pi = bellman_apply(v, mu, scaled)
-            return np.concatenate([backed - v - lam, (forward_step(pi, mu) - mu)[1:]])
-
-        x = _hybr(residual, x).x
-    v, lam, mu = unpack(x)
-    reference = StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam,
-                               pi_bar=bellman_apply(v, mu, cm)[1])
+    # An independent path to the same pair: ``oracles.hybr_pair`` scales the
+    # inertia up from the logit pair, each step solved by scipy's hybr.
+    cm = bottleneck_cm_e1t20[0]
+    reference = hybr_pair(cm)
     assert max(smfe_residuals(reference, cm)) <= EXACT_TOL
     pair = solve_smfe(cm)
-    assert dist_distance(pair.mu_bar, mu) <= 1e-10
-    assert dist_distance(pair.V_bar, v) <= 1e-10
-    assert abs(pair.lambda_bar - lam) <= 1e-10
+    assert dist_distance(pair.mu_bar, reference.mu_bar) <= 1e-12
+    assert dist_distance(pair.V_bar, reference.V_bar) <= 1e-10
+    assert abs(pair.lambda_bar - reference.lambda_bar) <= 1e-10
 
 
 def test_newton_solve_logs_each_step(route_cm_e1t1, caplog):
@@ -600,7 +548,8 @@ def test_invariant_law_of_a_nearly_degenerate_policy(bottleneck_cm_e1t20):
         for width in (1.5, 2.0, 3.0, 4.0, 6.0):
             w = np.exp(-((slices - centre) / width) ** 2)
             mu = w / w.sum()
-            _, _, pi, _ = stationary._relative_values(cm, mu, np.zeros(cm.M))
+            _, u, z = _soft_backup(cm.kernel, cm.cost(mu), cm.theta)
+            pi = _softmax_policies(cm.kernel, u, z)
             assert pi.min() < 1e-200
             nu = stationary._stationary_distribution(pi)
             assert np.all(nu >= 0.0)
