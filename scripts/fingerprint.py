@@ -14,6 +14,10 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   order can move them by rounding while ``fp/<config>`` stays put;
 - ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
   each shipped config (the pair, or the failure payload when it stalls);
+- ``sue/<config>``: ``logit_sue``'s Newton solve, at its default ``tol``,
+  on each shipped config (the logit distribution, or the failure's
+  residual).  It ignores the inertia, so configs that differ only in
+  epsilon share this hash;
 - ``cap30/<config>``: the legacy damped loop, 30 rounds from the uniform
   distribution at ``damping=0.5`` with ``fallback=False``, on each shipped
   config (the pair, or the failure payload when the cap is reached);
@@ -56,7 +60,7 @@ from mfgcommute.core import (
     uniform_distribution,
 )
 from mfgcommute.fictitious import FPConfig, fictitious_play
-from mfgcommute.stationary import solve_smfe
+from mfgcommute.stationary import logit_sue, solve_smfe
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NAMES = ("route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottleneck_e0t20")
@@ -97,6 +101,13 @@ def smfe_case(cm, **budget):
     return digest(p.V_bar, p.mu_bar, p.lambda_bar, p.pi_bar)
 
 
+def sue_case(cm):
+    try:
+        return digest(logit_sue(cm))
+    except SolverFailure as exc:
+        return digest(exc.residual)
+
+
 def main() -> None:
     models = {}
     for name in NAMES:
@@ -108,6 +119,7 @@ def main() -> None:
         hashes[f"bellman/{name}"] = bellman_case(cfg, cm)
     for name, (_, cm) in models.items():
         hashes[f"smfe/{name}"] = smfe_case(cm)
+        hashes[f"sue/{name}"] = sue_case(cm)
         hashes[f"cap30/{name}"] = smfe_case(cm, init=uniform_distribution(cm.M), damping=0.5,
                                             max_outer=30, fallback=False)
     cm = models["bottleneck_e1t20"][1]

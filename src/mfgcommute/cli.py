@@ -250,13 +250,12 @@ def write_csv(matrix, path: Path) -> None:
 
 
 def _augmented_flatness(avg_mf, cm):
-    out = []
-    for mu, f in zip(avg_mf, cm.cost(avg_mf)):
-        if np.any(mu <= 0.0):
-            out.append(None)
-            continue
-        profile = augmented_cost_profile(mu, f, cm.theta)
-        out.append(float(profile.max() - profile.min()))
+    out = [None] * len(avg_mf)
+    days = np.flatnonzero((avg_mf > 0.0).all(axis=1))  # ln mu needs no empty option
+    if days.size:
+        profile = augmented_cost_profile(avg_mf[days], cm.cost(avg_mf)[days], cm.theta)
+        for n, spread in zip(days, profile.max(axis=1) - profile.min(axis=1)):
+            out[n] = float(spread)
     return out
 
 

@@ -170,10 +170,10 @@ def _weighted_policy_average(num, den, m):
 def fp_average_policy(history, j: int) -> np.ndarray:
     """Occupancy-weighted average of the first ``j`` (flow, policy) iterates.
 
-    Weighting each iterate's policy rows by that iterate's state occupancy
-    makes the average policy induce the average flow from the shared
-    initial distribution.  The rescan reference for the running sums that
-    ``fictitious_play`` folds one iterate at a time; the loop never calls it.
+    Weighting each iterate's policy rows by its state occupancy makes the
+    average policy induce the average flow from the shared initial law.
+    ``fictitious_play`` never calls it, and the tests' rescan reference is
+    ``oracles.rescan_average_policy``; it stays for ``perfbench/layers.py``.
     """
     if j < 1 or len(history) < j:
         raise InvalidInputError("need at least j recorded iterations, j >= 1")

@@ -123,19 +123,21 @@ def _softmax(a):
 
 
 def _newton(fun, x, what):
-    """A root of ``fun`` by Newton's method from ``x``: (x, stop reason).
+    """A root of ``fun`` by Newton's method from ``x``: (state, stop reason).
 
-    Each step solves J dx = -F, with the Jacobian J by forward differences
-    (step sqrt(eps) max(1, |x_j|)), then backtracks from t = 1 by halving
-    until |F(x + t dx)|^2 <= (1 - 2e-4 t) |F(x)|^2, the Armijo condition on
-    |F|^2 (Dennis & Schnabel, *Numerical Methods for Unconstrained
-    Optimization and Nonlinear Equations*, 1983, sec. 6.3); a non-finite F
-    fails it.  Stops "converged" at max |F| <= 1e-13, "stalled" when no step
-    down to t = 2**-20 passes (rounding, a kink or a local minimum of |F|),
-    "singular" when J is, and "capped" after 100 steps.  The caller
-    certifies x by its own residuals.
+    ``fun(x)`` returns (F, state), the state holding what priced F.  Each
+    step solves J dx = -F, with J by forward differences (step sqrt(eps)
+    max(1, |x_j|)), then backtracks from t = 1 by halving until
+    |F(x + t dx)|^2 <= (1 - 2e-4 t) |F(x)|^2, the Armijo condition on |F|^2
+    (Dennis & Schnabel, *Numerical Methods for Unconstrained Optimization
+    and Nonlinear Equations*, 1983, sec. 6.3); a non-finite F fails it.
+    Stops "converged" at max |F| <= 1e-13, "stalled" when no step down to
+    t = 2**-20 passes (rounding, a kink or a local minimum of |F|),
+    "singular" when J is, and "capped" after 100 steps.  The state is the
+    last accepted point's (the start's if no step passed, never a rejected
+    trial's), for the caller to certify by its own residuals.
     """
-    fx = fun(x)
+    fx, state = fun(x)
     steps, evaluations, stop = 0, 1, "capped"
     while steps < 100:
         if np.abs(fx).max(initial=0.0) <= 1e-13:
@@ -145,7 +147,7 @@ def _newton(fun, x, what):
         for j in range(x.size):
             xj = x.copy()
             xj[j] += 1.4901161193847656e-08 * max(1.0, abs(x[j]))
-            jac[:, j] = (fun(xj) - fx) / (xj[j] - x[j])
+            jac[:, j] = (fun(xj)[0] - fx) / (xj[j] - x[j])
         evaluations += x.size
         try:
             dx = np.linalg.solve(jac, -fx)
@@ -156,47 +158,44 @@ def _newton(fun, x, what):
         for halvings in range(21):
             t = 0.5**halvings
             trial = x + t * dx
-            f_trial = fun(trial)
+            f_trial, trial_state = fun(trial)
             evaluations += 1
             if f_trial @ f_trial <= (1.0 - 2e-4 * t) * size:
                 break
         else:
             stop = "stalled"
             break
-        x, fx = trial, f_trial
+        x, fx, state = trial, f_trial, trial_state
         steps += 1
         logger.debug("%s: Newton step %d, max|F| %.3e, line-search step %g",
                      what, steps, np.abs(fx).max(initial=0.0), t)
     logger.info("%s: Newton %s after %d steps and %d evaluations, max|F| %.3e",
                 what, stop, steps, evaluations, np.abs(fx).max(initial=0.0))
-    return x, stop
+    return state, stop
 
 
 def _pair_equations(cm):
-    """The stationary pair's equations in the relative values alone, and the pair they build.
+    """The stationary pair's equations in the relative values alone.
 
-    Unknowns x = V(1..M-1), with V(0) = 0.  ``pair(x)`` gives (V, lambda,
-    pi, mu, G V): pi is the softmax policy of V, mu = K_pi mu its invariant
-    law (``_stationary_distribution``, one linear solve), G V the backup of V
-    against mu and lambda = (G V - V)(0).  The rows are (G V - V)(1..M-1)
-    - lambda, so state 0's row holds by the choice of lambda and the balance
-    K_pi mu = mu by the choice of mu.  That law is unique: every state moves
-    to the state of least V with probability at least e^-KERNEL_LIMIT / M > 0,
-    so the chain has one recurrent class.
+    Unknowns x = V(1..M-1), with V(0) = 0.  At x the equations return (F,
+    (V, lambda, pi, mu, G V)): pi is the softmax policy of V, mu = K_pi mu
+    its invariant law (``_stationary_distribution``, one linear solve), G V
+    the backup of V against mu and lambda = (G V - V)(0).  The rows F are
+    (G V - V)(1..M-1) - lambda, so state 0's row holds by the choice of
+    lambda and the balance K_pi mu = mu by the choice of mu.  That law is
+    unique: every state moves to the state of least V with probability at
+    least e^-KERNEL_LIMIT / M > 0, so the chain has one recurrent class.
     """
-    def pair(x):
+    def equations(x):
         v = np.concatenate([[0.0], x])
         soft, u, z = _soft_backup(cm.kernel, v, cm.theta)
         pi = _softmax_policies(cm.kernel, u, z)
         mu = _stationary_distribution(pi)
         backed = cm.cost(mu) + soft
-        return v, float(backed[0]), pi, mu, backed
+        lam = float(backed[0])
+        return backed[1:] - v[1:] - lam, (v, lam, pi, mu, backed)
 
-    def equations(x):
-        v, lam, _, _, backed = pair(x)
-        return backed[1:] - v[1:] - lam
-
-    return equations, pair
+    return equations
 
 
 def solve_smfe(
@@ -214,12 +213,12 @@ def solve_smfe(
     the invariant law of V's own policy meets the balance condition.  On the
     shipped route configs it takes 6 steps, on the bottleneck ones 19 and
     28.  It stops at max |F| <= 1e-13, or stalls once the line search needs
-    a step below 2**-20.  The pair it ends at is priced by
-    ``_pair_residuals``, the formulas of ``smfe_residuals``, and returned
-    when r1 and r2 are both <= ``tol``.  Otherwise SolverFailure is raised,
-    its payload the pair (``V_bar``, ``mu_bar``, ``lambda_bar``) with that
-    pair's ``r1`` and ``r2``.  Raises InvalidInputError for a ``tol`` that
-    is not positive.
+    a step below 2**-20.  The pair that priced its last accepted point is
+    certified by ``_pair_residuals``, the formulas of ``smfe_residuals``,
+    and returned when r1 and r2 are both <= ``tol``.  Otherwise
+    SolverFailure is raised, its payload the pair (``V_bar``, ``mu_bar``,
+    ``lambda_bar``) with that pair's ``r1`` and ``r2``.  Raises
+    InvalidInputError for a ``tol`` that is not positive.
 
     The keywords ``init``, ``damping``, ``max_outer`` and ``fallback`` are
     legacy: given all four, the former damped loop, ``_solve_damped``, runs
@@ -238,9 +237,8 @@ def solve_smfe(
         raise InvalidInputError(f"the damped loop needs {', '.join(missing)} as well")
     if not missing:
         return _solve_damped(cm, tol=tol, **legacy)
-    equations, pair = _pair_equations(cm)
-    x, stop = _newton(equations, np.zeros(cm.M - 1), "stationary pair")
-    v, lam, pi, mu, backed = pair(x)
+    (v, lam, pi, mu, backed), stop = _newton(_pair_equations(cm), np.zeros(cm.M - 1),
+                                             "stationary pair")
     r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
     if r1 <= tol and r2 <= tol:
         return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
@@ -309,24 +307,21 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
     solve (``_newton``, as for the stationary pair) of the logit form
     z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, mu(z) = softmax([0, z]),
     from the uniform distribution z = 0.  The inertia matrix is ignored.
-    Certified by the residual d_f(mu, softmax(-theta f(mu))) <= ``tol``;
-    raises SolverFailure with that residual otherwise, and InvalidInputError
-    for a ``tol`` that is not positive.
+    Certified by d_f(mu, softmax(-theta f)) <= ``tol`` at the mu and f of
+    Newton's last accepted point; raises SolverFailure with that residual
+    otherwise, and InvalidInputError for a ``tol`` that is not positive.
     """
     tol = _number(tol, "tol")
     if tol <= 0.0:
         raise InvalidInputError("tol must be positive")
 
-    def to_mu(z):
-        return _softmax(np.concatenate([[0.0], z]))
-
     def logit_form(z):
-        f = cm.cost(to_mu(z))
-        return z + cm.theta * (f[1:] - f[0])
+        mu = _softmax(np.concatenate([[0.0], z]))
+        f = cm.cost(mu)
+        return z + cm.theta * (f[1:] - f[0]), (mu, f)
 
-    z, stop = _newton(logit_form, np.zeros(cm.M - 1), "logit SUE")
-    mu = to_mu(z)
-    residual = dist_distance(mu, _softmax(-cm.theta * cm.cost(mu)))
+    (mu, f), stop = _newton(logit_form, np.zeros(cm.M - 1), "logit SUE")
+    residual = dist_distance(mu, _softmax(-cm.theta * f))
     if not residual <= tol:
         raise SolverFailure(
             f"logit SUE stopped at residual {residual:.3e} above tol={tol:g} "
@@ -397,17 +392,16 @@ def omega_bound_check(mfe_mu, cm: CostModel) -> bool:
 def augmented_cost_profile(mu, v_or_f, theta: float) -> np.ndarray:
     """Entropy-augmented profile g(s) = cost(s) + (1/theta) ln mu(s).
 
-    A flat profile (max - min below tolerance) certifies the logit
-    equilibrium condition for the given cost vector.  Raises
-    InvalidInputError for a ``theta`` that is not a positive number.
+    ``mu`` is a distribution or a (..., M) stack of them, of the shape of
+    the costs ``v_or_f``.  A flat profile (max - min along the last axis
+    below tolerance) certifies the logit equilibrium condition for its cost
+    vector.  Raises InvalidInputError for a ``theta`` that is not positive.
     """
     theta = _number(theta, "theta")
     if theta <= 0.0:
         raise InvalidInputError("theta must be positive")
-    mu = check_stochastic(mu, "distribution", (None,))
-    v_or_f = _numbers(v_or_f, "cost vector")
-    if v_or_f.shape != mu.shape:
-        raise InvalidInputError("cost vector and distribution shapes differ")
+    v_or_f = np.atleast_1d(_numbers(v_or_f, "cost vector"))
+    mu = check_stochastic(mu, "distribution", v_or_f.shape)
     if np.any(mu <= 0.0):
         raise InvalidInputError("profile needs a strictly positive distribution")
     return v_or_f + np.log(mu) / theta

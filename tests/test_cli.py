@@ -219,6 +219,15 @@ def test_zero_mu0_entry_writes_null_flatness(tmp_path, repo_root):
     assert all(isinstance(x, float) for x in flatness[1:])
 
 
+def test_horizon_one_with_an_empty_option_writes_one_null_flatness(tmp_path, repo_root):
+    # Day 0 is the only day and has an empty option: no day has a profile.
+    out = tmp_path / "out"
+    cfg = config_from_dict(route_config(
+        repo_root, out, horizon=1, mu0=[0.0, 0.2, 0.5, 0.1, 0.1, 0.1]), tmp_path)
+    assert run_experiment(cfg) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["augmented_cost_flatness"] == [None]
+
+
 def test_config_echo_round_trips(tmp_path, repo_root):
     out = tmp_path / "out"
     cfg = config_from_dict(route_config(repo_root, out), tmp_path)

@@ -31,8 +31,12 @@ def test_fingerprint_script_hashes_every_case(repo_root, capsys):
                "bottleneck_e0t20"]
     assert sorted(hashes) == sorted(
         [f"fp/{c}" for c in configs] + [f"fp-trace/{c}" for c in configs]
-        + [f"smfe/{c}" for c in configs]
+        + [f"smfe/{c}" for c in configs] + [f"sue/{c}" for c in configs]
         + [f"cap30/{c}" for c in configs] + ["damped/bottleneck_e1t20"]
         + [f"bellman/{c}" for c in configs])
     assert all(re.fullmatch(r"[0-9a-f]{64}", h) for h in hashes.values())
+    # logit_sue ignores the inertia, so the configs that differ only in
+    # epsilon share its hash; every other case hashes something of its own.
+    for twin, same in (("route_e0t1", "route_e1t1"), ("bottleneck_e0t20", "bottleneck_e1t20")):
+        assert hashes.pop(f"sue/{twin}") == hashes[f"sue/{same}"]
     assert len(set(hashes.values())) == len(hashes)

@@ -322,17 +322,52 @@ def test_augmented_profile_generic_not_flat_and_validation():
             augmented_cost_profile([0.5, 0.5], costs, 1.0)
 
 
+def test_augmented_profile_of_a_stack_is_the_per_day_profiles(route_cm_e1t1, fp_e1t1):
+    cm, avg_mf = route_cm_e1t1, fp_e1t1.avg_mf
+    costs = cm.cost(avg_mf)
+    stacked = augmented_cost_profile(avg_mf, costs, cm.theta)
+    assert stacked.shape == avg_mf.shape
+    for n, (mu, f) in enumerate(zip(avg_mf, costs)):
+        assert np.array_equal(stacked[n], augmented_cost_profile(mu, f, cm.theta))
+
+
+def test_newton_returns_the_state_of_its_last_accepted_point(route_cm_e1t1):
+    # A converged pair solve hands back exactly what a fresh evaluation at
+    # its own V(1..M-1) gives.
+    equations = stationary._pair_equations(route_cm_e1t1)
+    state, stop = stationary._newton(equations, np.zeros(route_cm_e1t1.M - 1), "pair")
+    assert stop == "converged"
+    for got, fresh in zip(state, equations(state[0][1:])[1]):
+        assert np.array_equal(got, fresh)
+    # F(x) = x^2 + 1 has no root.  From x = 1 the first step lands at x = 0
+    # up to the difference step, where F = 1 is least, and every halving of
+    # the next step is rejected; from x = 0 no step passes.  Either way the
+    # state is the accepted point's, not the last trial's.
+    trials = []
+
+    def no_root(x):
+        trials.append(x.copy())
+        f = x * x + 1.0
+        return f, (x.copy(), f)
+
+    for start in (1.0, 0.0):
+        trials.clear()
+        (x, f), stop = stationary._newton(no_root, np.array([start]), "no root")
+        assert stop == "stalled"
+        assert abs(x[0]) < 1e-8 and f[0] == 1.0
+        assert trials[-1][0] ** 2 + 1.0 > f[0]
+
+
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
     # The Newton solve of the pair equations, started from spread value
     # vectors instead of V = 0, certifies the cold start's pair every time.
     cm = route_cm_e1t1
     cold = solve_smfe(cm)
-    equations, pair = stationary._pair_equations(cm)
+    equations = stationary._pair_equations(cm)
     rng = np.random.default_rng(2)
     for _ in range(10):
         start = 2.0 * rng.normal(size=cm.M - 1)
-        x, stop = stationary._newton(equations, start, "spread start")
-        v, lam, pi, mu, _ = pair(x)
+        (v, lam, pi, mu, _), stop = stationary._newton(equations, start, "spread start")
         r1, r2 = smfe_residuals(StationaryPair(v, mu, lam, pi), cm)
         assert stop == "converged" and r1 <= 1e-8 and r2 <= 1e-8
         assert dist_distance(mu, cold.mu_bar) <= 1e-12
