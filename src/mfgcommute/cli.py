@@ -38,6 +38,7 @@ from .core import (
 from .fictitious import FPConfig, fictitious_play
 from .route import RouteInertiaSpec, link_flows, load_network, route_cost_model
 from .stationary import (
+    _indicator_epsilon,
     augmented_cost_profile,
     logit_sue,
     omega_bound,
@@ -188,10 +189,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # undecodable bytes and bad JSON are ValueErrors
         raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", f"{path} must hold a JSON object")
     return config_from_dict(raw, path.resolve().parent)
@@ -352,8 +351,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
 def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
     """Solve the stationary pair and write it, with its checks, to smfe.json.
 
-    The day-to-day comparison, ``df_per_day``, is ``run``'s: ``smfe`` never
-    solves or reads the day-to-day trajectory.
+    The cost model decides which checks apply: the value-gap bracket where
+    the inertia is a flat switching penalty (``value_gap_check``), and the
+    distance to ``logit_sue`` where there is no inertia at all, whatever
+    the scenario.  ``df_per_day`` is ``run``'s: ``smfe`` never solves or
+    reads the day-to-day trajectory.
     """
     # mu0 goes unused, but _prepare still checks it: smfe rejects a config
     # exactly as run does.
@@ -365,9 +367,9 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         )
         dump_json(payload, out / "smfe.json")
         return 2
-    if cfg.scenario == "route" and cfg.inertia_kind == "indicator":
+    if _indicator_epsilon(cm) is not None:
         payload["value_gap_check"] = value_gap_check(pair, cm)
-    if cfg.scenario == "route" and cfg.epsilon == 0.0:
+    if not cm.inertia_matrix.any():
         try:
             payload["df_to_logit_sue"] = dist_distance(pair.mu_bar, logit_sue(cm))
         except SolverFailure as exc:
@@ -422,10 +424,3 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}")
         return 1
-    except SolverFailure as exc:
-        print(f"solver failure: {exc}")
-        return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -346,16 +346,10 @@ def _pair_residuals(backed, v, lam, pushed, mu):
     return float(np.max(np.abs(backed - v - lam))), float(np.max(np.abs(pushed - mu)))
 
 
-def _indicator_epsilon(cm: CostModel) -> float:
-    d = cm.inertia_matrix
-    if np.any(np.diag(d) != 0.0):
-        raise InvalidInputError("inertia is not of indicator form (nonzero diagonal)")
-    off = d[~np.eye(cm.M, dtype=bool)]
-    if off.size == 0:
-        return 0.0
-    if np.any(off != off[0]):
-        raise InvalidInputError("inertia is not of indicator form (varying penalty)")
-    return float(off[0])
+def _indicator_epsilon(cm: CostModel) -> float | None:
+    """The epsilon of indicator inertia d = epsilon 1{s != s'} (0 without inertia), else None."""
+    eps = cm.inertia_matrix.max()
+    return float(eps) if np.array_equal(cm.inertia_matrix, eps * (1.0 - np.eye(cm.M))) else None
 
 
 def value_gap_check(p: StationaryPair, cm: CostModel) -> bool:
@@ -363,10 +357,13 @@ def value_gap_check(p: StationaryPair, cm: CostModel) -> bool:
 
     For every ordered pair with V(x) > V(y):
     V(x)-V(y) > f(x,mu)-f(y,mu) > V(x)-V(y) - epsilon, within a slack of
-    1e-9.  Only defined for indicator inertia d = epsilon * 1{s != s'}.
+    1e-9.  Only defined for indicator inertia d = epsilon * 1{s != s'}, no
+    inertia being epsilon = 0; raises InvalidInputError for any other.
     """
     slack = 1e-9
     eps = _indicator_epsilon(cm)
+    if eps is None:
+        raise InvalidInputError("inertia is not of indicator form")
     f = cm.cost(p.mu_bar)
     v_gap = p.V_bar[:, None] - p.V_bar[None, :]  # [x, y] = V(x) - V(y)
     f_gap = f[:, None] - f[None, :]

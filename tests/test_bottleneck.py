@@ -156,6 +156,8 @@ def test_spec_validation_and_ordering_warning():
     with pytest.raises(InvalidInputError):
         BottleneckSpec(M=40, L=3.0, capacity=3000, demand=6000,
                        alpha=10, beta=5, gamma=15, r=4.0, epsilon=1.0)
+    with pytest.raises(InvalidInputError, match="capacity"):
+        BottleneckSpec(**{**GUO, "capacity": 0})
     for cost in ("alpha", "beta", "gamma"):
         for bad in (-5.0, float("nan")):
             with pytest.raises(InvalidInputError):

@@ -102,6 +102,15 @@ def test_config_field_errors(tmp_path, repo_root):
         ("outputs", {"outputs": None}),
         ("outputs", {"outputs": 5}),
         ("scenario_file", {"scenario_file": ["a"]}),
+        # Range and type checks of their own, each naming its field.
+        ("horizon", {"horizon": 0}),
+        ("horizon", {"horizon": 10**400}),  # an int past the float range
+        ("epsilon", {"epsilon": -1}),
+        ("inertia_kind", {"inertia_kind": "x"}),
+        ("inertia_kind", {"scenario": "bottleneck", "inertia_kind": "indicator"}),
+        ("mu0", {"mu0": {}}),
+        ("solver", {"solver": []}),
+        ("policy_days", {"policy_days": 3}),
     ]:
         cfg = route_config(repo_root, tmp_path / "out", **overrides)
         with pytest.raises(ConfigError) as exc:
@@ -112,6 +121,19 @@ def test_config_field_errors(tmp_path, repo_root):
     cfg = route_config(repo_root, tmp_path / "out", solver={"max_iters": 0})
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("content", [b'{"scenario": "route", \xff}', b'{"scenario": "ro', None],
+                         ids=["undecodable", "truncated", "directory"])
+def test_an_unreadable_config_file_names_config(tmp_path, capsys, content):
+    path = tmp_path / "exp.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    for command in ("validate", "run", "smfe"):
+        assert main([command, "--config", str(path)]) == 1
+        assert "config field 'config'" in capsys.readouterr().out
 
 
 def test_run_experiment_artifacts(tmp_path, repo_root):
@@ -468,6 +490,27 @@ def test_smfe_command_on_the_bottleneck(tmp_path, repo_root, epsilon, code):
     pair = StationaryPair(v, mu, doc["lambda_bar"], bellman_apply(v, mu, cm)[1])
     assert smfe_residuals(pair, cm) == (doc["r1"], doc["r2"])
     assert (max(doc["r1"], doc["r2"]) <= 1e-8) is (code == 0)
+    # The checks follow the cost model, not the scenario: without inertia
+    # the stationary law is the logit equilibrium and the value gaps are
+    # bracketed at epsilon = 0; shift inertia gets neither check.
+    if epsilon == 0.0:
+        assert doc["value_gap_check"] is True
+        assert doc["df_to_logit_sue"] <= 1e-12
+    else:
+        assert "value_gap_check" not in doc and "df_to_logit_sue" not in doc
+
+
+def test_smfe_writes_null_when_the_logit_benchmark_fails(tmp_path, repo_root, monkeypatch):
+    def failing_sue(cm):
+        raise SolverFailure("logit SUE stopped", residual=0.5)
+
+    monkeypatch.setattr("mfgcommute.cli.logit_sue", failing_sue)
+    out = tmp_path / "out"
+    path = write_config(tmp_path, route_config(repo_root, out, epsilon=0.0))
+    assert main(["smfe", "--config", str(path)]) == 0
+    doc = json.loads((out / "smfe.json").read_text())
+    assert doc["converged"] is True and doc["value_gap_check"] is True
+    assert doc["df_to_logit_sue"] is None
 
 
 def modules_after(repo_root, script, top="scipy"):

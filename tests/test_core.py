@@ -212,6 +212,8 @@ def test_cost_model_validation():
         kwargs = {"inertia_matrix": d, "theta": 1.0, "bound_C": 1.0, field: value}
         with pytest.raises(InvalidInputError, match=f"{field} must be a number"):
             CostModel(cost=zero_cost, **kwargs)
+    with pytest.raises(InvalidInputError, match="at least one state"):
+        CostModel(cost=zero_cost, inertia_matrix=np.zeros((0, 0)), theta=1.0, bound_C=1.0)
     ok = CostModel(cost=zero_cost, inertia_matrix=d, theta=1.0, bound_C=1.0)
     assert ok.inertia_matrix.shape == (2, 2)
     assert ok.M == 2
@@ -681,6 +683,15 @@ def test_forward_propagate_mass_conservation():
 
 # ---------------------------------------------------------------------------
 # policy evaluation and total cost
+
+
+def test_policy_evaluate_rejects_a_non_finite_value():
+    # A cost that breaks its bound_C contract surfaces as a NumericError,
+    # not as inf values.
+    cm = CostModel(cost=lambda mu: np.full_like(mu, np.inf), inertia_matrix=np.zeros((2, 2)),
+                   theta=1.0, bound_C=1.0)
+    with pytest.raises(NumericError, match="non-finite value at day 1"):
+        policy_evaluate(uniform_policy_seq(2, 2), np.full((2, 2), 0.5), cm)
 
 
 def test_policy_evaluate_two_state_hand_value():

@@ -60,6 +60,13 @@ def test_fp_average_policy_zero_occupancy_rows_uniform():
         fp_average_policy([(mf, pol)], 2)
 
 
+def test_fp_average_policy_rejects_a_history_of_two_shapes():
+    one_day = (np.array([[0.5, 0.5]]), np.full((1, 2, 2), 0.5))
+    two_days = (np.full((2, 2), 0.5), np.full((2, 2, 2), 0.5))
+    with pytest.raises(InvalidInputError, match="inconsistent shapes"):
+        fp_average_policy([one_day, two_days], 2)
+
+
 def test_exploitability_zero_for_best_response():
     cm = make_table_cost_model([0.5, 1.0, 0.2], np.full((3, 3), 0.3) - 0.3 * np.eye(3),
                                theta=1.5)
@@ -138,6 +145,11 @@ def test_fp_config_validation():
     with pytest.raises(InvalidInputError):
         FPConfig(mu0=uniform_distribution(3), horizon=2,
                  initial_policy=uniform_policy_seq(2, 2))
+
+
+def test_fictitious_play_rejects_a_mu0_of_the_wrong_length(route_cm_e1t1):
+    with pytest.raises(InvalidInputError, match="dimension does not match"):
+        fictitious_play(route_cm_e1t1, FPConfig(mu0=uniform_distribution(3), horizon=2))
 
 
 def test_one_shot_convergence_without_congestion():

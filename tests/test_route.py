@@ -213,6 +213,8 @@ def test_network_validation():
     ]:
         with pytest.raises(InvalidInputError):
             RoadNetwork(**{**good, **bad})
+    with pytest.raises(InvalidInputError, match="at least one link"):
+        RoadNetwork(**{**good, "capacity": [], "coef": [], "free_flow": [], "paths": ((0,),)})
 
 
 def test_constructors_reject_non_finite_fields_by_name():

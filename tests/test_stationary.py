@@ -270,6 +270,20 @@ def test_value_gap_rejects_non_indicator_inertia(grid9):
         value_gap_check(pair, cm)
 
 
+def test_indicator_epsilon_reads_the_inertia_matrix(grid9, repo_root):
+    # Indicator inertia gives its penalty, and no inertia at all gives 0;
+    # overlap and shift inertia are not a flat penalty.
+    for eps in (1.0, 0.0):
+        cm = route_cost_model(grid9, 1.0, RouteInertiaSpec("indicator", eps))
+        assert stationary._indicator_epsilon(cm) == eps
+    overlap = route_cost_model(grid9, 1.0, RouteInertiaSpec("overlap", 1.0))
+    assert stationary._indicator_epsilon(overlap) is None
+    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
+    assert stationary._indicator_epsilon(bottleneck_cost_model(spec, 20.0)) is None
+    assert stationary._indicator_epsilon(
+        bottleneck_cost_model(replace(spec, epsilon=0.0), 20.0)) == 0.0
+
+
 def test_omega_bound_on_solver_output(fp_e1t1, route_cm_e1t1):
     assert omega_bound_check(fp_e1t1.avg_mf, route_cm_e1t1)
 
@@ -356,6 +370,23 @@ def test_newton_returns_the_state_of_its_last_accepted_point(route_cm_e1t1):
         assert stop == "stalled"
         assert abs(x[0]) < 1e-8 and f[0] == 1.0
         assert trials[-1][0] ** 2 + 1.0 > f[0]
+
+    # F = 1 has a zero Jacobian: no step is taken and the start's state
+    # comes back.  F = e^x has no root, and each full step x -> x - 1
+    # passes the line search, so 100 steps from x = 80 end near x = -20.
+    def flat(x):
+        return np.ones(1), x.copy()
+
+    x, stop = stationary._newton(flat, np.zeros(1), "flat")
+    assert stop == "singular" and x[0] == 0.0
+
+    def exp(x):
+        f = np.exp(x)
+        return f, (x.copy(), f)
+
+    (x, f), stop = stationary._newton(exp, np.array([80.0]), "exp")
+    assert stop == "capped"
+    assert abs(x[0] + 20.0) < 1e-3 and f[0] == math.exp(x[0])
 
 
 def test_unique_stationary_point_across_initializations(route_cm_e1t1):
