@@ -13,7 +13,8 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   the policy tables only at a stop candidate.  So a change of summation
   order can move them by rounding while ``fp/<config>`` stays put;
 - ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
-  each shipped config (the pair, or the failure payload when it stalls);
+  each shipped config (the pair with its ``smfe_residuals``, so that a
+  change to the certificate shows, or the failure payload when it stalls);
 - ``sue/<config>``: ``logit_sue``'s Newton solve, at its default ``tol``,
   on each shipped config (the logit distribution, or the failure's
   residual).  It ignores the inertia, so configs that differ only in
@@ -60,7 +61,7 @@ from mfgcommute.core import (
     uniform_distribution,
 )
 from mfgcommute.fictitious import FPConfig, fictitious_play
-from mfgcommute.stationary import logit_sue, solve_smfe
+from mfgcommute.stationary import logit_sue, smfe_residuals, solve_smfe
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 NAMES = ("route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottleneck_e0t20")
@@ -98,7 +99,7 @@ def smfe_case(cm, **budget):
     except SolverFailure as exc:
         p = exc.payload
         return digest(p["V_bar"], p["mu_bar"], p["lambda_bar"], p["r1"], p["r2"])
-    return digest(p.V_bar, p.mu_bar, p.lambda_bar, p.pi_bar)
+    return digest(p.V_bar, p.mu_bar, p.lambda_bar, p.pi_bar, *smfe_residuals(p, cm))
 
 
 def sue_case(cm):

@@ -39,6 +39,7 @@ from .fictitious import FPConfig, fictitious_play
 from .route import RouteInertiaSpec, link_flows, load_network, route_cost_model
 from .stationary import (
     _indicator_epsilon,
+    _pair_record,
     augmented_cost_profile,
     logit_sue,
     omega_bound,
@@ -271,21 +272,13 @@ def _prepare(cfg: ExperimentConfig, out_dir):
 
 
 def _solve_stationary(cm):
-    """Stationary solve as a record, converged or not, plus the pair (None on failure)."""
+    """Stationary solve as ``converged`` and the pair's record, plus the pair (None on failure)."""
     try:
         pair = solve_smfe(cm)
     except SolverFailure as exc:
-        keys = ("V_bar", "mu_bar", "lambda_bar", "r1", "r2")
-        return {"converged": False, **{key: exc.payload[key] for key in keys}}, None
-    r1, r2 = smfe_residuals(pair, cm)
-    return {
-        "converged": True,
-        "V_bar": pair.V_bar,
-        "mu_bar": pair.mu_bar,
-        "lambda_bar": pair.lambda_bar,
-        "r1": r1,
-        "r2": r2,
-    }, pair
+        return {"converged": False, **exc.payload}, None
+    record = _pair_record(pair.V_bar, pair.mu_bar, pair.lambda_bar, *smfe_residuals(pair, cm))
+    return {"converged": True, **record}, pair
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
@@ -365,18 +358,16 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
         logger.warning(
             "stationary solve failed: residuals r1=%.3e, r2=%.3e", payload["r1"], payload["r2"]
         )
-        dump_json(payload, out / "smfe.json")
-        return 2
-    if _indicator_epsilon(cm) is not None:
+    if pair is not None and _indicator_epsilon(cm) is not None:
         payload["value_gap_check"] = value_gap_check(pair, cm)
-    if not cm.inertia_matrix.any():
+    if pair is not None and not cm.inertia_matrix.any():
         try:
             payload["df_to_logit_sue"] = dist_distance(pair.mu_bar, logit_sue(cm))
         except SolverFailure as exc:
             payload["df_to_logit_sue"] = None
             logger.warning("logit SUE benchmark failed: %s", exc)
     dump_json(payload, out / "smfe.json")
-    return 0
+    return 0 if payload["converged"] else 2
 
 
 # ---------------------------------------------------------------------------

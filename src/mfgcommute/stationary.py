@@ -59,7 +59,11 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class StationaryPair:
-    """Stationary value/distribution pair with its per-day cost constant."""
+    """Stationary value/distribution pair with its per-day cost constant.
+
+    ``pi_bar``, V's softmax policy, is kept for callers that build pairs;
+    the certificate ``smfe_residuals`` does not read it.
+    """
 
     V_bar: np.ndarray
     mu_bar: np.ndarray
@@ -245,7 +249,7 @@ def solve_smfe(
     raise SolverFailure(
         f"stationary Newton solve {stop} at residuals r1={r1:.3e}, r2={r2:.3e}",
         residual=max(r1, r2),
-        payload={"V_bar": v, "mu_bar": mu, "lambda_bar": lam, "r1": r1, "r2": r2},
+        payload=_pair_record(v, mu, lam, r1, r2),
     )
 
 
@@ -296,7 +300,7 @@ def _solve_damped(cm: CostModel, *, init, tol: float, damping: float, max_outer:
     raise SolverFailure(
         f"stationary solve stopped at residuals r1={r1:.3e}, r2={r2:.3e}",
         residual=max(r1, r2),
-        payload={"V_bar": v, "mu_bar": mu, "lambda_bar": lam, "r1": r1, "r2": r2},
+        payload=_pair_record(v, mu, lam, r1, r2),
     )
 
 
@@ -332,18 +336,34 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
 
 
 def smfe_residuals(p: StationaryPair, cm: CostModel):
-    """The two defining residuals of a stationary pair.
+    """The certificate of a stationary pair, read from (V, mu, lambda) alone.
 
-    r1 = max_s |G V(s) - V(s) - lambda|, r2 = d_f(K_pi mu, mu).
+    r1 = max_s |G V(s) - V(s) - lambda| and r2 = d_f(K_pi mu, mu), with G V
+    and pi from one ``bellman_apply`` of V against mu: pi is V's own softmax
+    policy, as in both solvers, and ``p.pi_bar`` is not read.  A malformed
+    ``V_bar``, ``mu_bar`` or ``lambda_bar`` raises InvalidInputError naming it.
     """
-    backed, _ = bellman_apply(p.V_bar, p.mu_bar, cm)
-    mu = np.asarray(p.mu_bar, dtype=float)  # validated by bellman_apply
-    return _pair_residuals(backed, p.V_bar, p.lambda_bar, forward_step(p.pi_bar, mu), mu)
+    v, mu, lam = _checked_pair(p, cm)
+    backed, pi = bellman_apply(v, mu, cm)
+    return _pair_residuals(backed, v, lam, forward_step(pi, mu), mu)
+
+
+def _checked_pair(p: StationaryPair, cm: CostModel):
+    """(V, mu, lambda) of ``p`` as numbers of ``cm``'s shape; InvalidInputError names the field."""
+    v = _numbers(p.V_bar, "V_bar")
+    if v.shape != (cm.M,):
+        raise InvalidInputError(f"V_bar must have shape ({cm.M},), got {v.shape}")
+    return v, check_stochastic(p.mu_bar, "mu_bar", (cm.M,)), _number(p.lambda_bar, "lambda_bar")
 
 
 def _pair_residuals(backed, v, lam, pushed, mu):
     """(r1, r2) of a pair from G V = ``backed`` and K_pi mu = ``pushed``; unchecked."""
     return float(np.max(np.abs(backed - v - lam))), float(np.max(np.abs(pushed - mu)))
+
+
+def _pair_record(v, mu, lam, r1, r2) -> dict:
+    """A pair and its r1, r2: the stationary solvers' failure payload and the CLI's record."""
+    return {"V_bar": v, "mu_bar": mu, "lambda_bar": lam, "r1": r1, "r2": r2}
 
 
 def _indicator_epsilon(cm: CostModel) -> float | None:
@@ -358,14 +378,16 @@ def value_gap_check(p: StationaryPair, cm: CostModel) -> bool:
     For every ordered pair with V(x) > V(y):
     V(x)-V(y) > f(x,mu)-f(y,mu) > V(x)-V(y) - epsilon, within a slack of
     1e-9.  Only defined for indicator inertia d = epsilon * 1{s != s'}, no
-    inertia being epsilon = 0; raises InvalidInputError for any other.
+    inertia being epsilon = 0; raises InvalidInputError for any other, and
+    for a malformed pair field as ``smfe_residuals`` does.
     """
     slack = 1e-9
     eps = _indicator_epsilon(cm)
     if eps is None:
         raise InvalidInputError("inertia is not of indicator form")
-    f = cm.cost(p.mu_bar)
-    v_gap = p.V_bar[:, None] - p.V_bar[None, :]  # [x, y] = V(x) - V(y)
+    v, mu, _ = _checked_pair(p, cm)
+    f = cm.cost(mu)
+    v_gap = v[:, None] - v[None, :]  # [x, y] = V(x) - V(y)
     f_gap = f[:, None] - f[None, :]
     bracketed = (v_gap > f_gap - slack) & (f_gap > v_gap - eps - slack)
     return bool(((v_gap <= 1e-10) | bracketed).all())

@@ -158,6 +158,8 @@ def test_spec_validation_and_ordering_warning():
                        alpha=10, beta=5, gamma=15, r=4.0, epsilon=1.0)
     with pytest.raises(InvalidInputError, match="capacity"):
         BottleneckSpec(**{**GUO, "capacity": 0})
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        BottleneckSpec(**{**GUO, "epsilon": -1})
     for cost in ("alpha", "beta", "gamma"):
         for bad in (-5.0, float("nan")):
             with pytest.raises(InvalidInputError):
@@ -165,6 +167,11 @@ def test_spec_validation_and_ordering_warning():
     with pytest.warns(UserWarning):
         BottleneckSpec(M=40, L=3.0, capacity=3000, demand=6000,
                        alpha=10, beta=12, gamma=15, r=2.0, epsilon=1.0)
+
+
+def test_delay_profile_rejects_a_mean_field_of_the_wrong_length(guo):
+    with pytest.raises(InvalidInputError, match="40 entries"):
+        delay_profile(np.full(guo.M - 1, 1.0 / (guo.M - 1)), guo)
 
 
 def test_spec_rejects_non_finite_fields_by_name():

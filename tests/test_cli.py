@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from mfgcommute.cli import (
     build_scenario,
     compare_smfe,
     config_from_dict,
+    dump_json,
     load_config,
     main,
     run_experiment,
@@ -657,6 +659,21 @@ def test_help_and_module_entry(tmp_path, repo_root):
 
 
 def test_log_verbosity_env(tmp_path, repo_root, monkeypatch):
-    monkeypatch.setenv("MFG_LOG", "info")
+    # MFG_LOG is read without regard to case, and "off" configures nothing.
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda level: levels.append(level))
     path = write_config(tmp_path, route_config(repo_root, tmp_path / "out"))
-    assert main(["validate", "--config", str(path)]) == 0
+    for value, want in (("off", []), ("info", [logging.INFO]), ("debug", [logging.DEBUG]),
+                        ("DEBUG", [logging.DEBUG])):
+        levels.clear()
+        monkeypatch.setenv("MFG_LOG", value)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert levels == want, value
+
+
+def test_dump_json_of_an_unserializable_value_leaves_no_file(tmp_path):
+    path = tmp_path / "doc.json"
+    for value in ({"a": object()}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            dump_json(value, path)
+        assert not path.exists()

@@ -168,6 +168,44 @@ def test_perturbed_distribution_residual_regression(pair_e1t1, route_cm_e1t1):
     assert r2 > 0.01
 
 
+def test_certificate_pushes_mu_through_the_policy_of_v():
+    # With a cost that does not depend on mu, the solved V and lambda pass
+    # r1 at any mu.  A pair that pairs them with mu = (0.1, 0.9) and claims
+    # the identity as its policy is no stationary pair: V's own policy moves
+    # that mu by 0.598, and r2 must say so rather than trust pi_bar.
+    cm = make_table_cost_model([0.0, 0.5], 0.3 * (1.0 - np.eye(2)), theta=2.0)
+    solved = solve_smfe(cm)
+    mu = np.array([0.1, 0.9])
+    pair = StationaryPair(solved.V_bar, mu, solved.lambda_bar, np.eye(2))
+    r1, r2 = smfe_residuals(pair, cm)
+    _, pi = bellman_apply(solved.V_bar, mu, cm)
+    assert r1 <= 1e-15
+    assert r2 == float(np.max(np.abs(forward_step(pi, mu) - mu)))
+    assert r2 == pytest.approx(0.5978, abs=1e-4)
+
+
+@pytest.mark.parametrize("field, value, check", [
+    ("lambda_bar", "x", smfe_residuals),
+    ("lambda_bar", None, smfe_residuals),
+    ("lambda_bar", True, smfe_residuals),
+    ("lambda_bar", float("nan"), smfe_residuals),
+    ("lambda_bar", np.array([0.0, 1.0]), smfe_residuals),
+    ("V_bar", [float("nan"), 0.0], smfe_residuals),
+    ("mu_bar", [0.5, 0.5, 0.0], smfe_residuals),
+    ("V_bar", np.zeros(3), value_gap_check),
+    ("V_bar", ["x", 0.0], value_gap_check),
+    ("mu_bar", [0.5, 0.6], value_gap_check),
+], ids=["lambda-string", "lambda-none", "lambda-bool", "lambda-nan", "lambda-array",
+        "v-nan", "mu-length", "gap-v-length", "gap-v-string", "gap-mu-sum"])
+def test_a_malformed_pair_field_is_named(field, value, check):
+    # Each field by the package's number rule, not numpy's: a string, None,
+    # a bool, a nan or an array of the wrong shape names its field.
+    cm = make_table_cost_model([0.0, 0.5], 0.3 * (1.0 - np.eye(2)), theta=2.0)
+    pair = replace(solve_smfe(cm), **{field: value})
+    with pytest.raises(InvalidInputError, match=field):
+        check(pair, cm)
+
+
 def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
     # bottleneck_e0t20 (epsilon = 0, theta = 20) solved straight at theta = 20.
     # Departures run at alpha / (alpha - beta) = 2 times capacity before the
@@ -460,6 +498,7 @@ def test_solver_failure_payload_is_the_pair_its_residuals_measure(
         with pytest.raises(SolverFailure) as exc:
             solve_smfe(cm, **knobs)
         p = exc.value.payload
+        assert list(p) == ["V_bar", "mu_bar", "lambda_bar", "r1", "r2"]
         pi = bellman_apply(p["V_bar"], p["mu_bar"], cm)[1]
         pair = StationaryPair(p["V_bar"], p["mu_bar"], p["lambda_bar"], pi)
         assert smfe_residuals(pair, cm) == (p["r1"], p["r2"])
@@ -530,14 +569,17 @@ SHIPPED = ["route_e1t1", "route_e0t1", "route_e0t20", "bottleneck_e1t20", "bottl
 
 
 def _model(name, repo_root, grid9):
-    # A shipped config by name, or one of two models off them that a Newton
-    # solve with mu's logits as unknowns misses: it stalls on bottleneck_e0t5
-    # and hits its step cap on grid9_overlap_e1t20.
+    # A shipped config by name, or one of three models off them: two that a
+    # Newton solve with mu's logits as unknowns misses (it stalls on
+    # bottleneck_e0t5 and hits its step cap on grid9_overlap_e1t20), and
+    # grid9_indicator_e1t20, on which solve_smfe stalls.
     if name == "bottleneck_e0t5":
         spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
         return bottleneck_cost_model(replace(spec, epsilon=0.0), 5.0)
     if name == "grid9_overlap_e1t20":
         return route_cost_model(grid9, 20.0, RouteInertiaSpec("overlap", 1.0))
+    if name == "grid9_indicator_e1t20":
+        return route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0))
     return build_scenario(load_config(repo_root / "configs" / f"{name}.json"))[0]
 
 
@@ -548,6 +590,22 @@ def test_newton_pair_is_certified(repo_root, grid9, name):
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
     assert pair.V_bar[0] == 0.0
+
+
+@pytest.mark.parametrize("name", SHIPPED + ["grid9_indicator_e1t20"])
+def test_residuals_do_not_read_pi_bar(repo_root, grid9, name):
+    # The certificate is a function of (V, mu, lambda): swapping the stored
+    # policy for the uniform one leaves it bit for bit, on the certified
+    # pairs and on the pair at which the solve stalls.
+    cm = _model(name, repo_root, grid9)
+    try:
+        pair = solve_smfe(cm)
+    except SolverFailure as exc:
+        p = exc.payload
+        pair = StationaryPair(p["V_bar"], p["mu_bar"], p["lambda_bar"],
+                              bellman_apply(p["V_bar"], p["mu_bar"], cm)[1])
+    uniform = np.full((cm.M, cm.M), 1.0 / cm.M)
+    assert smfe_residuals(replace(pair, pi_bar=uniform), cm) == smfe_residuals(pair, cm)
 
 
 def test_newton_pair_on_bottleneck_e1t20_matches_a_continuation(bottleneck_cm_e1t20):
