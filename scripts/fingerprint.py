@@ -12,13 +12,12 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   factors (mf / z) x u folded with the Gibbs kernel left out, which meet
   the policy tables only at a stop candidate.  So a change of summation
   order can move them by rounding while ``fp/<config>`` stays put;
-- ``smfe/<config>``: ``solve_smfe``'s Newton solve, at its defaults, on
-  each shipped config (the pair with its ``smfe_residuals``, so that a
-  change to the certificate shows, or the failure payload when it stalls);
-- ``sue/<config>``: ``logit_sue``'s Newton solve, at its default ``tol``,
-  on each shipped config (the logit distribution, or the failure's
-  residual).  It ignores the inertia, so configs that differ only in
-  epsilon share this hash;
+- ``smfe/<config>``: ``solve_smfe``'s Newton solve on each shipped config
+  (the pair with its ``smfe_residuals``, so that a change to the
+  certificate shows, or the failure payload when it stalls);
+- ``sue/<config>``: ``logit_sue``'s Newton solve on each shipped config
+  (the logit distribution, or the failure's residual).  It ignores the
+  inertia, so configs that differ only in epsilon share this hash;
 - ``cap30/<config>``: the legacy damped loop, 30 rounds from the uniform
   distribution at ``damping=0.5`` with ``fallback=False``, on each shipped
   config (the pair, or the failure payload when the cap is reached);

@@ -71,7 +71,10 @@ class NumericError(ArithmeticError):
 
 
 class SolverFailure(RuntimeError):
-    """An iterative solver hit its cap before reaching tolerance."""
+    """A solver stopped uncertified, at its cap or on a stall; ``residual`` is its certificate.
+
+    The stationary pair solvers also set ``payload``: the pair, with its r1 and r2.
+    """
 
     def __init__(self, message, residual=None, payload=None):
         super().__init__(message)

@@ -44,6 +44,8 @@ from .core import (
 from .fictitious import FPConfig, fictitious_play
 
 __all__ = [
+    "PAIR_TOL",
+    "SUE_TOL",
     "StationaryPair",
     "solve_smfe",
     "logit_sue",
@@ -55,6 +57,10 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Certificate thresholds: r1, r2 of a pair; d_f(mu, softmax(-theta f(mu))) of logit_sue.
+PAIR_TOL = 1e-8
+SUE_TOL = 1e-10
 
 
 @dataclass
@@ -205,7 +211,6 @@ def _pair_equations(cm):
 def solve_smfe(
     cm: CostModel,
     init=None,
-    tol: float = 1e-8,
     damping: float | None = None,
     max_outer: int | None = None,
     fallback: bool | None = None,
@@ -219,10 +224,9 @@ def solve_smfe(
     28.  It stops at max |F| <= 1e-13, or stalls once the line search needs
     a step below 2**-20.  The pair that priced its last accepted point is
     certified by ``_pair_residuals``, the formulas of ``smfe_residuals``,
-    and returned when r1 and r2 are both <= ``tol``.  Otherwise
+    and returned when r1 and r2 are both <= ``PAIR_TOL``.  Otherwise
     SolverFailure is raised, its payload the pair (``V_bar``, ``mu_bar``,
-    ``lambda_bar``) with that pair's ``r1`` and ``r2``.  Raises
-    InvalidInputError for a ``tol`` that is not positive.
+    ``lambda_bar``) with that pair's ``r1`` and ``r2``.
 
     The keywords ``init``, ``damping``, ``max_outer`` and ``fallback`` are
     legacy: given all four, the former damped loop, ``_solve_damped``, runs
@@ -232,19 +236,16 @@ def solve_smfe(
     warm start, and for ``scripts/fingerprint.py``'s ``cap30`` and
     ``damped`` cases.
     """
-    tol = _number(tol, "tol")
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
     legacy = {"init": init, "damping": damping, "max_outer": max_outer, "fallback": fallback}
     missing = [name for name, value in legacy.items() if value is None]
     if 0 < len(missing) < len(legacy):
         raise InvalidInputError(f"the damped loop needs {', '.join(missing)} as well")
     if not missing:
-        return _solve_damped(cm, tol=tol, **legacy)
+        return _solve_damped(cm, **legacy)
     (v, lam, pi, mu, backed), stop = _newton(_pair_equations(cm), np.zeros(cm.M - 1),
                                              "stationary pair")
     r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
-    if r1 <= tol and r2 <= tol:
+    if r1 <= PAIR_TOL and r2 <= PAIR_TOL:
         return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
     raise SolverFailure(
         f"stationary Newton solve {stop} at residuals r1={r1:.3e}, r2={r2:.3e}",
@@ -253,24 +254,25 @@ def solve_smfe(
     )
 
 
-def _solve_damped(cm: CostModel, *, init, tol: float, damping: float, max_outer: int,
+def _solve_damped(cm: CostModel, *, init, damping: float, max_outer: int,
                   fallback: bool) -> StationaryPair:
     """The former stationary solver, kept for the benchmark and the fingerprint alone.
 
-    Reached only through ``solve_smfe``'s four legacy keywords, which checks
-    ``tol``.  Each outer round solves the average-cost values exactly at the
-    current distribution, then moves the distribution toward the invariant
-    law nu of the induced policy at the fixed step ``damping``: mu <- (1 -
-    damping) mu + damping nu.  A round prices its pair once, r1 from the
-    backup G V that ends the value solve and r2 from one forward step of its
-    policy.  With ``fallback``, the first round from round min(5000,
-    max_outer // 2) on whose r2 exceeds 1e-3 re-seeds, once, from the middle
-    day of one long-horizon fictitious play run.  Raises SolverFailure if
-    the cap is exhausted, its payload the last pair priced with that pair's
-    r1 and r2; InvalidInputError for ``damping`` outside (0, 1] or
-    ``max_outer`` below 1.  A start near a solution needs a small step: at
-    0.5, route_e1t1's own ``mu_bar`` (``tol=1e-10``) goes from r2 = 9.9e-9
-    to 0.92 in 20 rounds.
+    Reached only through ``solve_smfe``'s four legacy keywords.  Each outer
+    round solves the average-cost values exactly at the current
+    distribution, then moves the distribution toward the invariant law nu
+    of the induced policy at the fixed step ``damping``:
+    mu <- (1 - damping) mu + damping nu.  A round prices its pair once, r1
+    from the backup G V that ends the value solve and r2 from one forward
+    step of its policy.  With ``fallback``, the first round from round
+    min(5000, max_outer // 2) on whose r2 exceeds 1e-3 re-seeds, once, from
+    the middle day of one long-horizon fictitious play run.  Raises
+    SolverFailure if the cap is exhausted, its payload the last pair priced
+    with that pair's r1 and r2; InvalidInputError for ``damping`` outside
+    (0, 1] or ``max_outer`` below 1.  A start near a solution needs a small
+    step: at 0.5, 1e-8 of mass moved off route_e1t1's ``mu_bar`` takes r2
+    from 2.1e-7 to 0.42 in 5 rounds.  No caller converges, and no test
+    reaches the converged return or the re-seed (ROADMAP item 16).
     """
     if not 0.0 < damping <= 1.0:
         raise InvalidInputError("damping must be in (0, 1]")
@@ -282,7 +284,7 @@ def _solve_damped(cm: CostModel, *, init, tol: float, damping: float, max_outer:
     for outer in range(max_outer):
         v, lam, pi, backed = _relative_values(cm, mu, v)
         r1, r2 = _pair_residuals(backed, v, lam, _forward_step_core(pi, mu), mu)
-        if r1 <= tol and r2 <= tol:
+        if r1 <= PAIR_TOL and r2 <= PAIR_TOL:
             logger.info("stationary solve converged after %d rounds", outer + 1)
             return StationaryPair(V_bar=v, mu_bar=mu, lambda_bar=lam, pi_bar=pi)
         if outer + 1 == max_outer:
@@ -304,21 +306,17 @@ def _solve_damped(cm: CostModel, *, init, tol: float, damping: float, max_outer:
     )
 
 
-def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
+def logit_sue(cm: CostModel) -> np.ndarray:
     """Logit equilibrium mu = softmax(-theta f(mu)) of the one-day choice.
 
     The stationary distribution of a model without inertia.  One Newton
     solve (``_newton``, as for the stationary pair) of the logit form
     z + theta (f(mu(z))[1:] - f(mu(z))[0]) = 0, mu(z) = softmax([0, z]),
     from the uniform distribution z = 0.  The inertia matrix is ignored.
-    Certified by d_f(mu, softmax(-theta f)) <= ``tol`` at the mu and f of
-    Newton's last accepted point; raises SolverFailure with that residual
-    otherwise, and InvalidInputError for a ``tol`` that is not positive.
+    Certified by d_f(mu, softmax(-theta f)) <= ``SUE_TOL`` at the mu and f
+    of Newton's last accepted point; raises SolverFailure with that
+    residual otherwise.
     """
-    tol = _number(tol, "tol")
-    if tol <= 0.0:
-        raise InvalidInputError("tol must be positive")
-
     def logit_form(z):
         mu = _softmax(np.concatenate([[0.0], z]))
         f = cm.cost(mu)
@@ -326,12 +324,9 @@ def logit_sue(cm: CostModel, tol: float = 1e-10) -> np.ndarray:
 
     (mu, f), stop = _newton(logit_form, np.zeros(cm.M - 1), "logit SUE")
     residual = dist_distance(mu, _softmax(-cm.theta * f))
-    if not residual <= tol:
-        raise SolverFailure(
-            f"logit SUE stopped at residual {residual:.3e} above tol={tol:g} "
-            f"(Newton {stop})",
-            residual=residual,
-        )
+    if not residual <= SUE_TOL:
+        raise SolverFailure(f"logit SUE Newton solve {stop} at residual {residual:.3e} "
+                            f"above SUE_TOL={SUE_TOL:g}", residual=residual)
     return check_stochastic(mu, "SUE distribution", (cm.M,))
 
 

@@ -9,7 +9,8 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from mfgcommute.route import RouteInertiaSpec, load_network, route_cost_model
+from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
+from mfgcommute.route import load_network
 
 
 @pytest.fixture(scope="session")
@@ -22,19 +23,27 @@ def grid9():
     return load_network(REPO / "scenarios" / "grid9.json")
 
 
+def shipped_model(name):
+    """(config, cost model) of the shipped config ``configs/<name>.json``."""
+    cfg = load_config(REPO / "configs" / f"{name}.json")
+    return cfg, build_scenario(cfg)[0]
+
+
 @pytest.fixture(scope="session")
 def grid9_mu0():
-    return np.array([0.1, 0.1, 0.5, 0.1, 0.1, 0.1])
+    # The initial split of route_e1t1, which route_e0t1 shares.
+    cfg, cm = shipped_model("route_e1t1")
+    return _resolve_mu0(cfg, cm.M)
 
 
 @pytest.fixture(scope="session")
-def route_cm_e1t1(grid9):
-    return route_cost_model(grid9, 1.0, RouteInertiaSpec("indicator", 1.0))
+def route_cm_e1t1():
+    return shipped_model("route_e1t1")[1]
 
 
 @pytest.fixture(scope="session")
-def route_cm_e0t1(grid9):
-    return route_cost_model(grid9, 1.0, RouteInertiaSpec("indicator", 0.0))
+def route_cm_e0t1():
+    return shipped_model("route_e0t1")[1]
 
 
 def make_table_cost_model(f_table, d_table, theta, coupling=None):

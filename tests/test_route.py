@@ -321,13 +321,3 @@ def test_link_flow_evolution_unique_across_initial_policies(grid9, grid9_mu0, ro
         )
         flows.append(link_flows(rep.avg_mf, grid9))
     assert np.max(np.abs(flows[0] - flows[1])) <= 1e-3 * grid9.demand
-
-
-def test_logit_sue_cap_raises_with_residual(grid9):
-    from mfgcommute.core import SolverFailure
-
-    # The solve ends near 1e-15 here; a tolerance below rounding is a
-    # failure that must carry the residual it stopped at.
-    with pytest.raises(SolverFailure) as exc:
-        logit_sue(no_inertia(grid9, 1.0), tol=1e-17)
-    assert exc.value.residual is not None and exc.value.residual > 0.0

@@ -211,7 +211,7 @@ def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
     # Departures run at alpha / (alpha - beta) = 2 times capacity before the
     # desired arrival and at alpha / (alpha + gamma) = 0.4 times after it.
     cm, spec = build_scenario(load_config(repo_root / "configs" / "bottleneck_e0t20.json"))
-    mu = logit_sue(cm, tol=1e-12)
+    mu = logit_sue(cm)
     assert dist_distance(mu, softmax(-cm.theta * cm.cost(mu))) <= 1e-12
     rates = mu / spec.normalized_capacity
     assert np.max(np.abs(rates[11:17] - 2.0)) <= 5e-4
@@ -474,14 +474,24 @@ def test_mfe_tail_approach_is_monotone(exact_pair_e1t1, exact_e1t1):
         f"closest day {turn}: d={d[turn]:.3e} vs d5/10={d[5] / 10:.3e}")
 
 
-def test_solver_failure_carries_residuals():
-    # An impossible tolerance must surface as a failure with diagnostics.
-    cm = two_state_model()
-    with pytest.raises(SolverFailure) as exc:
-        solve_smfe(cm, tol=1e-16, init=uniform_distribution(2), damping=0.5,
-                   max_outer=40, fallback=False)
-    assert exc.value.payload is not None
-    assert "r2" in exc.value.payload
+def test_both_newton_solves_fail_with_their_residuals_without_a_fixed_point():
+    # Two options, no inertia, theta = 5: the option that holds more than
+    # half the commuters costs 1, the other 0.  The logit response to either
+    # cost vector puts 0.993 on the cheap option, which then holds the
+    # majority, so mu = softmax(-theta f(mu)) has no solution, and without
+    # inertia neither has the stationary pair.  Each solve stalls and raises
+    # with its residual; the pair solve also reports the pair it stalled at.
+    cm = CostModel(cost=lambda mu: np.where(mu[..., :1] > 0.5, [1.0, 0.0], [0.0, 1.0]),
+                   inertia_matrix=np.zeros((2, 2)), theta=5.0, bound_C=1.0)
+    with pytest.raises(SolverFailure, match="stalled") as exc:
+        logit_sue(cm)
+    assert exc.value.residual == pytest.approx(0.4933, abs=1e-4)
+    assert exc.value.payload is None
+    with pytest.raises(SolverFailure, match="stalled") as exc:
+        solve_smfe(cm)
+    p = exc.value.payload
+    assert list(p) == ["V_bar", "mu_bar", "lambda_bar", "r1", "r2"]
+    assert (p["r1"], p["r2"]) == (1.0, 0.0) and exc.value.residual == 1.0
 
 
 def test_solver_failure_payload_is_the_pair_its_residuals_measure(
@@ -523,25 +533,12 @@ def test_solve_smfe_needs_all_four_legacy_keywords(route_cm_e1t1):
 
 
 def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
-    # A step outside (0, 1] leaves the simplex or never moves mu, no round
-    # leaves nothing to report, and a NaN tolerance can never be met.
-    for knobs in ({"damping": -0.5}, {"damping": 0.0}, {"max_outer": 0},
-                  {"tol": float("nan")}):
+    # A step outside (0, 1] leaves the simplex or never moves mu, and no
+    # round leaves nothing to report.
+    for knobs in ({"damping": -0.5}, {"damping": 0.0}, {"max_outer": 0}):
         with pytest.raises(InvalidInputError):
             solve_smfe(route_cm_e1t1, **{"init": uniform_distribution(6), "damping": 0.5,
                                          "max_outer": 5, "fallback": False, **knobs})
-
-
-def test_solve_smfe_rejects_a_tolerance_that_is_not_positive(route_cm_e1t1):
-    # A tolerance that is not a positive number names tol, in both Newton
-    # solvers, before either solve starts.
-    for solver in (solve_smfe, logit_sue):
-        for tol in (0.0, -1e-8, float("nan")):
-            with pytest.raises(InvalidInputError, match="tol"):
-                solver(route_cm_e1t1, tol=tol)
-        for tol in ("1e-8", None, True):
-            with pytest.raises(InvalidInputError, match="tol must be a number"):
-                solver(route_cm_e1t1, tol=tol)
 
 
 @pytest.mark.parametrize("name", ["route_e1t1", "route_e0t1", "route_e0t20"])
