@@ -23,12 +23,13 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
-from mfgcommute.fictitious import FPConfig, fictitious_play
+from mfgcommute.cli import build_experiment, load_config
+from mfgcommute.fictitious import fictitious_play
 from mfgcommute.stationary import _softmax, logit_sue
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "bottleneck_e0t20.json"
@@ -63,7 +64,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     cfg = load_config(CONFIG)
-    cm, spec = build_scenario(cfg)
+    cm, spec, fp = build_experiment(cfg)
     theta = cfg.theta
 
     mu = logit_sue(cm)
@@ -82,10 +83,7 @@ def main(argv=None):
     print(f"symmetric cost Jacobian, smallest eigenvalue: "
           f"{np.linalg.eigvalsh(sym)[0]:.1f}")
 
-    report = fictitious_play(
-        cm, FPConfig(mu0=_resolve_mu0(cfg, cm.M), horizon=cfg.horizon,
-                     max_iters=args.iters,
-                     exploitability_tol=cfg.exploitability_tol))
+    report = fictitious_play(cm, replace(fp, max_iters=args.iters))
     trace = np.asarray(report.exploitability_trace)
     print(f"fictitious play, {len(trace)} iterations: "
           f"{direction_changes(trace)} changes of direction")

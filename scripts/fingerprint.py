@@ -27,10 +27,12 @@ arrays and scalars (dtype, shape and raw bytes of each).  The cases:
   ``bellman_apply`` at one random (V, mu) and ``backward_induction`` at one
   random mean field sequence, drawn from ``np.random.default_rng(0)``.
 
-The script calls the package's public API, and ``cli._resolve_mu0`` for
-the configs' initial distributions, so it can fingerprint a tree older
-than itself.  The damped cases pass all four of ``solve_smfe``'s
-legacy keywords, which the loop needs and older trees accept.
+The script calls the package's public API only: ``cli.build_experiment``
+builds each config's cost model and fictitious-play inputs.  A tree older
+than ``build_experiment`` lacks it, so fingerprint such a tree with that
+tree's own copy of this script.  The damped cases pass all four of
+``solve_smfe``'s legacy keywords, which the loop needs and older trees
+accept.
 
 The package is imported from whichever ``src/`` comes first on
 ``PYTHONPATH``; the configs and scenarios are this checkout's.  Compare the
@@ -48,18 +50,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
+from mfgcommute.cli import build_experiment, load_config
 from mfgcommute.core import (
     SolverFailure,
     backward_induction,
     bellman_apply,
     uniform_distribution,
 )
-from mfgcommute.fictitious import FPConfig, fictitious_play
+from mfgcommute.fictitious import fictitious_play
 from mfgcommute.stationary import logit_sue, smfe_residuals, solve_smfe
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -75,20 +78,18 @@ def digest(*values) -> str:
     return h.hexdigest()
 
 
-def fp_cases(cfg, cm):
-    fp = FPConfig(_resolve_mu0(cfg, cm.M), horizon=cfg.horizon, max_iters=300,
-                  exploitability_tol=cfg.exploitability_tol)
-    r = fictitious_play(cm, fp)
+def fp_cases(cm, fp):
+    r = fictitious_play(cm, replace(fp, max_iters=300))
     certified = digest(r.avg_mf, r.avg_policy, r.value_seq, r.iterations_run,
                        r.exploitability_trace[-1])
     return certified, digest(r.exploitability_trace)
 
 
-def bellman_case(cfg, cm):
+def bellman_case(cm, horizon):
     rng = np.random.default_rng(0)
     v = cm.bound_C * rng.random(cm.M)
     mu = rng.dirichlet(np.ones(cm.M))
-    mf = rng.dirichlet(np.ones(cm.M), size=cfg.horizon)
+    mf = rng.dirichlet(np.ones(cm.M), size=horizon)
     return digest(*bellman_apply(v, mu, cm), *backward_induction(mf, cm))
 
 
@@ -109,20 +110,17 @@ def sue_case(cm):
 
 
 def main() -> None:
-    models = {}
-    for name in NAMES:
-        cfg = load_config(CONFIGS / f"{name}.json")
-        models[name] = cfg, build_scenario(cfg)[0]
+    models = {name: build_experiment(load_config(CONFIGS / f"{name}.json")) for name in NAMES}
     hashes = {}
-    for name, (cfg, cm) in models.items():
-        hashes[f"fp/{name}"], hashes[f"fp-trace/{name}"] = fp_cases(cfg, cm)
-        hashes[f"bellman/{name}"] = bellman_case(cfg, cm)
-    for name, (_, cm) in models.items():
+    for name, (cm, _, fp) in models.items():
+        hashes[f"fp/{name}"], hashes[f"fp-trace/{name}"] = fp_cases(cm, fp)
+        hashes[f"bellman/{name}"] = bellman_case(cm, fp.horizon)
+    for name, (cm, _, _) in models.items():
         hashes[f"smfe/{name}"] = smfe_case(cm)
         hashes[f"sue/{name}"] = sue_case(cm)
         hashes[f"cap30/{name}"] = smfe_case(cm, init=uniform_distribution(cm.M), damping=0.5,
                                             max_outer=30, fallback=False)
-    cm = models["bottleneck_e1t20"][1]
+    cm = models["bottleneck_e1t20"][0]
     hashes["damped/bottleneck_e1t20"] = smfe_case(
         cm, init=uniform_distribution(cm.M), damping=2.0**-9, max_outer=20, fallback=False)
     print(json.dumps(hashes, indent=1))

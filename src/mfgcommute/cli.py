@@ -49,7 +49,8 @@ from .stationary import (
     value_gap_check,
 )
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", "run_experiment", "compare_smfe", "main"]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "build_scenario", "build_experiment",
+           "run_experiment", "compare_smfe", "main"]
 
 logger = logging.getLogger(__name__)
 
@@ -218,13 +219,20 @@ def build_scenario(cfg: ExperimentConfig):
         raise ConfigError("scenario_file", str(exc)) from exc
 
 
-def _resolve_mu0(cfg: ExperimentConfig, m: int) -> np.ndarray:
-    if cfg.mu0 == "uniform":
-        return uniform_distribution(m)
+def build_experiment(cfg: ExperimentConfig):
+    """The cost model, scenario object and ``FPConfig`` that the config names.
+
+    The one path from a config to a runnable experiment: ``run``, ``smfe``
+    and ``validate`` all take it.  A ``mu0`` that is not a distribution
+    over the model's options names ``mu0``.
+    """
+    cm, scen = build_scenario(cfg)
+    mu0 = uniform_distribution(cm.M) if cfg.mu0 == "uniform" else cfg.mu0
     try:
-        return check_stochastic(cfg.mu0, "mu0", (m,))
+        mu0 = check_stochastic(mu0, "mu0", (cm.M,))
     except InvalidInputError as exc:
         raise ConfigError("mu0", str(exc)) from exc
+    return cm, scen, FPConfig(mu0, cfg.horizon, cfg.max_iters, cfg.exploitability_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +268,14 @@ def _augmented_flatness(avg_mf, cm):
 
 
 def _prepare(cfg: ExperimentConfig, out_dir):
-    """Shared start of ``run`` and ``smfe``: scenario, initial split, output directory."""
-    cm, scen = build_scenario(cfg)
-    mu0 = _resolve_mu0(cfg, cm.M)
+    """Shared start of ``run`` and ``smfe``: the built experiment and its output directory."""
+    cm, scen, fp = build_experiment(cfg)
     out = Path(out_dir) if out_dir is not None else cfg.output_path
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError("outputs", f"cannot create {out}: {exc.strerror}") from exc
-    return cm, scen, mu0, out
+    return cm, scen, fp, out
 
 
 def _solve_stationary(cm):
@@ -284,16 +291,8 @@ def _solve_stationary(cm):
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
     """Run the configured experiment and write its artifact files."""
     started = time.perf_counter()
-    cm, scen, mu0, out = _prepare(cfg, out_dir)
-    report = fictitious_play(
-        cm,
-        FPConfig(
-            mu0=mu0,
-            horizon=cfg.horizon,
-            max_iters=cfg.max_iters,
-            exploitability_tol=cfg.exploitability_tol,
-        ),
-    )
+    cm, scen, fp, out = _prepare(cfg, out_dir)
+    report = fictitious_play(cm, fp)
 
     write_csv(report.avg_mf, out / "mf_trace.csv")
     write_csv(report.value_seq, out / "values.csv")
@@ -330,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> int:
             "iterations_run": report.iterations_run,
             "final_exploitability": report.exploitability_trace[-1],
             "consistency_residual": dist_distance(
-                forward_propagate(report.avg_policy, mu0), report.avg_mf
+                forward_propagate(report.avg_policy, fp.mu0), report.avg_mf
             ),
             "runtime_seconds": runtime,
             "config": cfg.to_dict(),
@@ -350,8 +349,8 @@ def compare_smfe(cfg: ExperimentConfig, out_dir=None) -> int:
     the scenario.  ``df_per_day`` is ``run``'s: ``smfe`` never solves or
     reads the day-to-day trajectory.
     """
-    # mu0 goes unused, but _prepare still checks it: smfe rejects a config
-    # exactly as run does.
+    # FP's inputs go unused, but _prepare still builds them: smfe rejects a
+    # config exactly as run does.
     cm, _, _, out = _prepare(cfg, out_dir)
     payload, pair = _solve_stationary(cm)
     if pair is None:
@@ -405,8 +404,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.command == "validate":
-            cm, _ = build_scenario(cfg)
-            _resolve_mu0(cfg, cm.M)
+            build_experiment(cfg)
             print(f"config OK: {args.config}")
             return 0
         if args.command == "run":

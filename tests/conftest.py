@@ -9,7 +9,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
+from mfgcommute.cli import build_experiment, load_config
 from mfgcommute.route import load_network
 
 
@@ -24,16 +24,15 @@ def grid9():
 
 
 def shipped_model(name):
-    """(config, cost model) of the shipped config ``configs/<name>.json``."""
+    """``configs/<name>.json`` as (config, *build_experiment): cost model, scenario, FPConfig."""
     cfg = load_config(REPO / "configs" / f"{name}.json")
-    return cfg, build_scenario(cfg)[0]
+    return cfg, *build_experiment(cfg)
 
 
 @pytest.fixture(scope="session")
 def grid9_mu0():
     # The initial split of route_e1t1, which route_e0t1 shares.
-    cfg, cm = shipped_model("route_e1t1")
-    return _resolve_mu0(cfg, cm.M)
+    return shipped_model("route_e1t1")[3].mu0
 
 
 @pytest.fixture(scope="session")

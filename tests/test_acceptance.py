@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
 from mfgcommute.core import (
     bellman_apply,
     dist_distance,
@@ -31,7 +30,7 @@ from mfgcommute.core import (
     policy_evaluate,
     uniform_distribution,
 )
-from mfgcommute.fictitious import FPConfig, fictitious_play
+from mfgcommute.fictitious import fictitious_play
 from mfgcommute.route import path_costs
 from mfgcommute.stationary import (
     augmented_cost_profile,
@@ -42,7 +41,7 @@ from mfgcommute.stationary import (
     value_gap_check,
 )
 from mfgcommute.bottleneck import BottleneckSpec, delay_profile
-from conftest import make_table_cost_model
+from conftest import make_table_cost_model, shipped_model
 from oracles import brute_forward_step, mc_policy_value, point_queue_delays
 
 # Relative cost spread across routes on the last day of the shipped
@@ -57,36 +56,29 @@ def _report(num, name, ok, detail):
     assert ok, line
 
 
-def run_config(repo_root, name):
-    cfg = load_config(repo_root / "configs" / f"{name}.json")
-    cm, scen = build_scenario(cfg)
-    mu0 = _resolve_mu0(cfg, cm.M)
-    report = fictitious_play(
-        cm,
-        FPConfig(mu0=mu0, horizon=cfg.horizon, max_iters=cfg.max_iters,
-                 exploitability_tol=cfg.exploitability_tol),
-    )
-    return cfg, cm, scen, report
+def run_config(name):
+    cfg, cm, scen, fp = shipped_model(name)
+    return cfg, cm, scen, fictitious_play(cm, fp)
 
 
 @pytest.fixture(scope="module")
-def run_e1t1(repo_root):
-    return run_config(repo_root, "route_e1t1")
+def run_e1t1():
+    return run_config("route_e1t1")
 
 
 @pytest.fixture(scope="module")
-def run_e0t1(repo_root):
-    return run_config(repo_root, "route_e0t1")
+def run_e0t1():
+    return run_config("route_e0t1")
 
 
 @pytest.fixture(scope="module")
-def run_e0t20(repo_root):
-    return run_config(repo_root, "route_e0t20")
+def run_e0t20():
+    return run_config("route_e0t20")
 
 
 @pytest.fixture(scope="module")
-def run_b0t20(repo_root):
-    return run_config(repo_root, "bottleneck_e0t20")
+def run_b0t20():
+    return run_config("bottleneck_e0t20")
 
 
 def test_criterion_01_second_day_sue(run_e0t1):

@@ -9,6 +9,7 @@ import pytest
 
 from mfgcommute.cli import (
     ConfigError,
+    build_experiment,
     build_scenario,
     compare_smfe,
     config_from_dict,
@@ -19,6 +20,7 @@ from mfgcommute.cli import (
 )
 from mfgcommute.core import SolverFailure, dist_distance
 from mfgcommute.stationary import solve_smfe
+from conftest import shipped_model
 
 
 def route_config(repo_root, out_dir, **overrides):
@@ -202,18 +204,13 @@ def test_run_outputs_byte_identical(tmp_path, repo_root):
 
 
 def test_float_serialization_round_trips_exactly(tmp_path, repo_root):
-    from mfgcommute.fictitious import FPConfig, fictitious_play
-    from mfgcommute.cli import _resolve_mu0
+    from mfgcommute.fictitious import fictitious_play
 
     out = tmp_path / "out"
     cfg = config_from_dict(route_config(repo_root, out), tmp_path)
     run_experiment(cfg, out)
-    cm, _ = build_scenario(cfg)
-    report = fictitious_play(
-        cm,
-        FPConfig(mu0=_resolve_mu0(cfg, cm.M), horizon=8, max_iters=40,
-                 exploitability_tol=1e-9),
-    )
+    cm, _, fp = build_experiment(cfg)
+    report = fictitious_play(cm, fp)
     assert np.array_equal(read_csv(out / "mf_trace.csv"), report.avg_mf)
     assert np.array_equal(read_csv(out / "values.csv"), report.value_seq)
     trace = read_csv(out / "exploitability.csv")[:, 0]
@@ -619,16 +616,16 @@ def test_run_names_outputs_when_the_directory_cannot_be_made(tmp_path, repo_root
 
 
 def test_shipped_configs_validate(repo_root):
-    from mfgcommute.cli import _resolve_mu0
-
-    names = sorted(p.name for p in (repo_root / "configs").glob("*.json"))
-    assert names == ["bottleneck_e0t20.json", "bottleneck_e1t20.json",
-                     "route_e0t1.json", "route_e0t20.json", "route_e1t1.json"]
+    names = sorted(p.stem for p in (repo_root / "configs").glob("*.json"))
+    assert names == ["bottleneck_e0t20", "bottleneck_e1t20",
+                     "route_e0t1", "route_e0t20", "route_e1t1"]
     for name in names:
-        cfg = load_config(repo_root / "configs" / name)
-        cm, _ = build_scenario(cfg)
-        mu0 = _resolve_mu0(cfg, cm.M)
-        assert mu0.shape == (cm.M,)
+        cfg, cm, _, fp = shipped_model(name)
+        # FP runs on the config's budget and initial split, as run takes them.
+        assert (fp.horizon, fp.max_iters, fp.exploitability_tol) == (
+            cfg.horizon, cfg.max_iters, cfg.exploitability_tol)
+        want = np.full(cm.M, 1.0 / cm.M) if cfg.mu0 == "uniform" else cfg.mu0
+        assert np.array_equal(fp.mu0, want)
         # run without --out writes inside the checkout, wherever it starts.
         assert cfg.output_path.resolve().is_relative_to(repo_root.resolve())
 

@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
-from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
-from mfgcommute.cli import build_scenario, load_config
 from mfgcommute.core import (
     KERNEL_LIMIT,
     CostModel,
@@ -32,7 +30,7 @@ from mfgcommute.core import (
 from mfgcommute.fictitious import exploitability
 from mfgcommute.route import RouteInertiaSpec, route_cost_model
 from mfgcommute.stationary import omega_bound_check
-from conftest import make_table_cost_model
+from conftest import make_table_cost_model, shipped_model
 from oracles import (
     brute_forward_step,
     brute_soft_backup,
@@ -302,15 +300,14 @@ def test_bellman_policy_strictly_positive():
         assert np.all(pi > 0.0)
 
 
-def oracle_models(grid9, repo_root):
+def oracle_models(grid9):
     """Cost models the backup is checked on against the brute-force oracle."""
     rng = np.random.default_rng(16)
     models = [random_cost_model(rng, m, theta=float(rng.uniform(0.3, 5.0)))
               for m in (2, 3, 5, 8)]
     models.append(separable_cost_model(rng, 5, theta=3.0))
     models.append(route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0)))
-    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
-    models.append(bottleneck_cost_model(spec, 20.0))
+    models.append(shipped_model("bottleneck_e1t20")[1])
     models.append(at_kernel_limit())
     return models
 
@@ -335,9 +332,9 @@ def assert_matches_oracle(value, policy, f, cm, v_next):
     assert np.max(np.abs(policy - want_policy)) <= 1e-12
 
 
-def test_bellman_matches_brute_soft_backup(grid9, repo_root):
+def test_bellman_matches_brute_soft_backup(grid9):
     rng = np.random.default_rng(17)
-    for cm in oracle_models(grid9, repo_root):
+    for cm in oracle_models(grid9):
         mu = random_distribution(rng, cm.M)
         f = cm.cost(mu)
         # Value spreads from flat to far past the kernel's shift range.
@@ -354,9 +351,9 @@ def test_bellman_matches_brute_soft_backup(grid9, repo_root):
                           np.array([1.0, 0.0]))
 
 
-def test_backward_induction_days_match_oracle_and_bellman_apply(grid9, repo_root):
+def test_backward_induction_days_match_oracle_and_bellman_apply(grid9):
     rng = np.random.default_rng(18)
-    for cm in oracle_models(grid9, repo_root):
+    for cm in oracle_models(grid9):
         kernel = cm.kernel.copy()
         mu = np.stack([random_distribution(rng, cm.M) for _ in range(12)])
         values, policies = backward_induction(mu, cm)
@@ -461,11 +458,11 @@ def test_forward_propagate_identity_and_single_step():
     assert np.allclose(out[1], [0.3, 0.7], atol=1e-15)
 
 
-def test_kernel_form_push_matches_the_explicit_policies(grid9, repo_root):
+def test_kernel_form_push_matches_the_explicit_policies(grid9):
     # Fictitious play pushes flows through the sweep's factors (u, z) and
     # never forms the policies; that push must be forward_propagate of them.
     rng = np.random.default_rng(19)
-    for cm in oracle_models(grid9, repo_root):
+    for cm in oracle_models(grid9):
         mu = np.stack([random_distribution(rng, cm.M) for _ in range(12)])
         mu0 = random_distribution(rng, cm.M)
         mu0[rng.integers(cm.M)] = 0.0
@@ -509,11 +506,6 @@ def test_kernel_form_push_drift_guard():
 SEPARABLE_CONFIGS = ("route_e0t1", "route_e0t20", "bottleneck_e0t20")
 
 
-def shipped_cost_model(repo_root, name):
-    cfg = load_config(repo_root / "configs" / f"{name}.json")
-    return cfg.horizon, build_scenario(cfg)[0]
-
-
 def assert_sweeps_agree(theta, got, want, got_push, want_push, mu0):
     # Two sweeps of one cost table, and their pushes from mu0, within
     # rounding: one forms u from V = f + g, so its u carries about theta ulps
@@ -541,12 +533,12 @@ def assert_batched_matches_the_loop(cm, mu, mu0):
         _forward_propagate_core(cm.kernel, *loop[1:], mu0), mu0)
 
 
-def test_separable_branch_matches_the_day_loop(repo_root):
+def test_separable_branch_matches_the_day_loop():
     rng = np.random.default_rng(21)
     for name in SEPARABLE_CONFIGS:
-        horizon, cm = shipped_cost_model(repo_root, name)
+        cfg, cm, _, _ = shipped_model(name)
         for _ in range(5):
-            mu = rng.dirichlet(np.ones(cm.M), size=horizon)
+            mu = rng.dirichlet(np.ones(cm.M), size=cfg.horizon)
             assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(cm.M)))
     # Random separable models with b != 0, down to one option and one day.
     for m in (1, 2, 5, 12):
@@ -556,7 +548,7 @@ def test_separable_branch_matches_the_day_loop(repo_root):
             assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(m)))
 
 
-def test_scaling_form_day_loop_matches_the_log_domain_loop(repo_root):
+def test_scaling_form_day_loop_matches_the_log_domain_loop():
     # The day loop's sweep and push against the log-domain loop they
     # replaced (oracles.log_domain_sweep), within the batched branch's bounds.
     rng = np.random.default_rng(23)
@@ -571,9 +563,9 @@ def test_scaling_form_day_loop_matches_the_log_domain_loop(repo_root):
             log_domain_push(cm.kernel, *want[1:], mu0), mu0)
 
     for name in ("route_e1t1", "bottleneck_e1t20"):
-        horizon, cm = shipped_cost_model(repo_root, name)
+        cfg, cm, _, _ = shipped_model(name)
         for _ in range(5):
-            mu = rng.dirichlet(np.ones(cm.M), size=horizon)
+            mu = rng.dirichlet(np.ones(cm.M), size=cfg.horizon)
             check(cm, mu, rng.dirichlet(np.ones(cm.M)))
     # Down to one option, where the loop runs on a 1 x 1 kernel, and one day,
     # where it runs no iteration.
@@ -627,9 +619,9 @@ def test_scaling_form_keeps_its_headroom_at_the_kernel_limit(theta_d_max):
                 assert np.max(np.abs(got - forward_propagate(policies, mu0))) <= 1e-15
 
 
-def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal(repo_root):
+def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal():
     for name in SEPARABLE_CONFIGS + ("route_e1t1", "bottleneck_e1t20"):
-        _, cm = shipped_cost_model(repo_root, name)
+        cm = shipped_model(name)[1]
         if name in SEPARABLE_CONFIGS:
             assert np.array_equal(cm.kernel, np.tile(cm.kernel_row, (cm.M, 1)))
         else:
@@ -731,12 +723,11 @@ def test_xlogx_matches_scipy_xlogy():
         assert (np.abs(ours - ref) <= tol).all()
 
 
-def test_policy_evaluate_batched_entropy_matches_a_per_day_loop(repo_root):
+def test_policy_evaluate_batched_entropy_matches_a_per_day_loop():
     # policy_evaluate forms the entropy of all days at once; the reference
     # is the day-by-day recursion with scipy's xlogy.
     rng = np.random.default_rng(22)
-    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
-    for cm in (random_cost_model(rng, 6, theta=1.3), bottleneck_cost_model(spec, 20.0)):
+    for cm in (random_cost_model(rng, 6, theta=1.3), shipped_model("bottleneck_e1t20")[1]):
         n, m, d = 30, cm.M, cm.inertia_matrix
         pi = random_sparse_policies(rng, n, m)
         mu = forward_propagate(pi, uniform_distribution(m))

@@ -17,8 +17,7 @@ from mfgcommute.fictitious import (
     fictitious_play,
     fp_average_policy,
 )
-from mfgcommute.cli import _resolve_mu0, build_scenario, load_config
-from conftest import make_table_cost_model
+from conftest import make_table_cost_model, shipped_model
 from oracles import rescan_average_policy
 
 # Exploitability of the all-uniform policy pair on the epsilon=theta=1 route
@@ -261,7 +260,7 @@ def test_fictitious_play_leaves_its_inputs_unchanged(route_cm_e1t1, route_cm_e0t
 
 @pytest.mark.parametrize("case", ["route_e1t1", "bottleneck_e1t20", "table_with_empty_rows"])
 def test_trace_matches_exploitability_of_each_prefix(
-    case, route_cm_e1t1, grid9_mu0, repo_root
+    case, route_cm_e1t1, grid9_mu0
 ):
     # Intermediate trace entries come from the occupancy form, the last one
     # from the backward-sweep certificate; both must price the same pair.
@@ -269,9 +268,8 @@ def test_trace_matches_exploitability_of_each_prefix(
     if case == "route_e1t1":
         cm, mu0 = route_cm_e1t1, grid9_mu0
     elif case == "bottleneck_e1t20":
-        cfg = load_config(repo_root / "configs" / "bottleneck_e1t20.json")
-        cm = build_scenario(cfg)[0]
-        mu0 = _resolve_mu0(cfg, cm.M)
+        _, cm, _, fp = shipped_model("bottleneck_e1t20")
+        mu0 = fp.mu0
     else:
         # Linear congestion keeps FP from converging in a few iterations; the
         # zero entry of mu0 leaves day-0 occupancy rows empty.

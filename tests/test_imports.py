@@ -6,6 +6,7 @@ exempt, and so are the package's ``__init__.py`` (it re-exports) and
 ``__main__.py``.  It also fails when a package module lists in ``__all__``
 a name that no top-level statement of the module binds, so a deletion that
 leaves its export behind fails here, not at ``from module import *``.
+Last, no test or script imports a ``_``-prefixed name from ``mfgcommute.cli``.
 """
 
 from __future__ import annotations
@@ -55,6 +56,14 @@ def unbound_exports(source: str) -> list[str]:
     return [name for name in exported if name not in bound]
 
 
+def private_cli_imports(source: str) -> list[str]:
+    # At any depth: tests import inside their bodies too.
+    return [f"line {node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "mfgcommute.cli"
+            for alias in node.names if alias.name.startswith("_")]
+
+
 def test_unused_import_check_flags_only_unread_names():
     source = "from __future__ import annotations\nimport os\nimport numpy as np\nnp.zeros(1)\n"
     assert unused_imports(source) == ["line 2: os"]
@@ -83,3 +92,14 @@ def test_every_exported_name_is_bound():
         if (unbound := unbound_exports(path.read_text()))
     }
     assert not found, f"names in __all__ that the module does not bind: {found}"
+
+
+def test_tests_and_scripts_import_no_private_cli_name():
+    source = ("from mfgcommute.cli import _helper, load_config\n"
+              "from mfgcommute.core import _number\n"
+              "def f():\n    from mfgcommute.cli import _other\n")
+    assert private_cli_imports(source) == ["line 1: _helper", "line 4: _other"]
+    found = {str(path.relative_to(ROOT)): names for path in checked_files()
+             if path.parent.name in ("tests", "scripts")
+             and (names := private_cli_imports(path.read_text()))}
+    assert not found, f"private cli names imported: {found}"

@@ -10,7 +10,6 @@ from scipy.special import softmax
 
 from mfgcommute import stationary
 from mfgcommute.bottleneck import bottleneck_cost_model, load_spec
-from mfgcommute.cli import build_scenario, load_config
 from mfgcommute.core import (
     DIST_TOL,
     CostModel,
@@ -37,7 +36,7 @@ from mfgcommute.stationary import (
     solve_smfe,
     value_gap_check,
 )
-from conftest import make_table_cost_model
+from conftest import make_table_cost_model, shipped_model
 from oracles import brute_value_gap_check, hybr, hybr_pair
 
 # Frozen diagnostics: residual after shifting 0.05 of mass between the first
@@ -117,9 +116,8 @@ def exact_pair_e1t1(route_cm_e1t1):
 
 
 @pytest.fixture(scope="module")
-def bottleneck_cm_e1t20(repo_root):
-    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
-    return bottleneck_cost_model(spec, 20.0), spec
+def bottleneck_cm_e1t20():
+    return shipped_model("bottleneck_e1t20")[1:3]
 
 
 def two_state_model(f0=0.0, f1=0.5, eps=0.3, theta=2.0):
@@ -206,11 +204,11 @@ def test_a_malformed_pair_field_is_named(field, value, check):
         check(pair, cm)
 
 
-def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
+def test_logit_sue_recovers_the_vickrey_departure_pattern():
     # bottleneck_e0t20 (epsilon = 0, theta = 20) solved straight at theta = 20.
     # Departures run at alpha / (alpha - beta) = 2 times capacity before the
     # desired arrival and at alpha / (alpha + gamma) = 0.4 times after it.
-    cm, spec = build_scenario(load_config(repo_root / "configs" / "bottleneck_e0t20.json"))
+    _, cm, spec, _ = shipped_model("bottleneck_e0t20")
     mu = logit_sue(cm)
     assert dist_distance(mu, softmax(-cm.theta * cm.cost(mu))) <= 1e-12
     rates = mu / spec.normalized_capacity
@@ -218,7 +216,7 @@ def test_logit_sue_recovers_the_vickrey_departure_pattern(repo_root):
     assert np.max(np.abs(rates[21:34] - 0.4)) <= 5e-4
 
 
-def test_softmax_matches_scipy(repo_root):
+def test_softmax_matches_scipy():
     # Inputs spanning +-700, some shifted to where exp alone overflows or
     # underflows in every entry, and -theta f on both bottleneck configs at
     # the uniform split and with all commuters in one slice.
@@ -227,7 +225,7 @@ def test_softmax_matches_scipy(repo_root):
               rng.uniform(300.0, 1000.0, 40), rng.uniform(-1000.0, -800.0, 6),
               np.array([-700.0, 0.0, 700.0]), np.array([700.0, 700.0]), np.zeros(1)]
     for name in ("bottleneck_e1t20", "bottleneck_e0t20"):
-        cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
+        cm = shipped_model(name)[1]
         for mu in (uniform_distribution(cm.M), np.eye(cm.M)[cm.M // 2]):
             inputs.append(-cm.theta * cm.cost(mu))
     for a in inputs:
@@ -308,7 +306,7 @@ def test_value_gap_rejects_non_indicator_inertia(grid9):
         value_gap_check(pair, cm)
 
 
-def test_indicator_epsilon_reads_the_inertia_matrix(grid9, repo_root):
+def test_indicator_epsilon_reads_the_inertia_matrix(grid9):
     # Indicator inertia gives its penalty, and no inertia at all gives 0;
     # overlap and shift inertia are not a flat penalty.
     for eps in (1.0, 0.0):
@@ -316,10 +314,8 @@ def test_indicator_epsilon_reads_the_inertia_matrix(grid9, repo_root):
         assert stationary._indicator_epsilon(cm) == eps
     overlap = route_cost_model(grid9, 1.0, RouteInertiaSpec("overlap", 1.0))
     assert stationary._indicator_epsilon(overlap) is None
-    spec = load_spec(repo_root / "scenarios" / "bottleneck_guo2018.json")
-    assert stationary._indicator_epsilon(bottleneck_cost_model(spec, 20.0)) is None
-    assert stationary._indicator_epsilon(
-        bottleneck_cost_model(replace(spec, epsilon=0.0), 20.0)) == 0.0
+    assert stationary._indicator_epsilon(shipped_model("bottleneck_e1t20")[1]) is None
+    assert stationary._indicator_epsilon(shipped_model("bottleneck_e0t20")[1]) == 0.0
 
 
 def test_omega_bound_on_solver_output(fp_e1t1, route_cm_e1t1):
@@ -542,8 +538,8 @@ def test_solve_smfe_rejects_knobs_it_cannot_use(route_cm_e1t1):
 
 
 @pytest.mark.parametrize("name", ["route_e1t1", "route_e0t1", "route_e0t20"])
-def test_newton_pair_on_the_route_configs(repo_root, name):
-    cm, _ = build_scenario(load_config(repo_root / "configs" / f"{name}.json"))
+def test_newton_pair_on_the_route_configs(name):
+    cm = shipped_model(name)[1]
     pair = solve_smfe(cm)
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
@@ -551,10 +547,10 @@ def test_newton_pair_on_the_route_configs(repo_root, name):
     assert dist_distance(pair.mu_bar, hybr_pair(cm).mu_bar) <= 1e-12
 
 
-def test_newton_pair_is_the_logit_point_that_repels_fictitious_play(repo_root):
+def test_newton_pair_is_the_logit_point_that_repels_fictitious_play():
     # bottleneck_e0t20 has no inertia, so its stationary law is the logit
     # equilibrium; criterion 9b's FP run moves away from it.
-    cm, _ = build_scenario(load_config(repo_root / "configs" / "bottleneck_e0t20.json"))
+    cm = shipped_model("bottleneck_e0t20")[1]
     pair = solve_smfe(cm)
     r1, r2 = smfe_residuals(pair, cm)
     assert r1 <= 1e-8 and r2 <= 1e-8
@@ -577,7 +573,7 @@ def _model(name, repo_root, grid9):
         return route_cost_model(grid9, 20.0, RouteInertiaSpec("overlap", 1.0))
     if name == "grid9_indicator_e1t20":
         return route_cost_model(grid9, 20.0, RouteInertiaSpec("indicator", 1.0))
-    return build_scenario(load_config(repo_root / "configs" / f"{name}.json"))[0]
+    return shipped_model(name)[1]
 
 
 @pytest.mark.parametrize("name", SHIPPED + ["bottleneck_e0t5", "grid9_overlap_e1t20"])
