@@ -56,6 +56,12 @@ RENORM_TOL = 1e-10
 KERNEL_LIMIT = 700.0
 # ln of the largest float (709.78), which sets the sweep's rescale stride.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+# Largest M at which the epsilon > 0 sweep and push run as prefix products
+# (_prefix_products) rather than a day loop: the measured crossover.  On a
+# 2-core Xeon with numpy 2.4 and BLAS on one thread, one 30-day sweep and
+# push took 0.74, 0.78 and 0.84 of the loops' time as products at M = 4, 6
+# and 8, but 1.01 at M = 10, 1.12 at M = 12 and 8.3 at M = 40.
+_PREFIX_MAX_M = 8
 
 
 class InvalidInputError(ValueError):
@@ -172,10 +178,12 @@ class CostModel:
     So is ``kernel_row``: the kernel's one row when all its rows are equal
     bit for bit (separable inertia, d(s, x) = b(x), as at epsilon = 0), else
     None.  Given it, the backward sweep and the push run all days in one
-    broadcast each, with no day loop (``_backward_induction_core``): one
-    fictitious-play iteration on route_e0t1 takes 69 us against 159 us.
-    Otherwise they loop over the days in scaling form, one mat-vec a day,
-    with the headroom theta * max d that the limit bounds.
+    broadcast each, with no day loop (``_backward_induction_core``).
+    Otherwise they run in scaling form, with the headroom theta * max d that
+    the limit bounds: at M <= 8 as prefix products of the day maps, log2 N
+    stacked products (the sweep only while its horizon needs no rescale),
+    and else as a loop over the days, one mat-vec a day.  The benchmark's
+    route-fp, route-cli and bottleneck-fp ``solve_s`` measure the three.
     """
 
     cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -281,12 +289,9 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # (u_{N-1} = 1, from V_N = 0): the shift is min V_{n+1} - min f_{n+1} =
     # g_{n+1}, taken out of the exponent.  Then z_n = u_n . k, and g_n sums
     # min f_{m+1} - ln z_m / theta over m >= n, with min f_N = 0.  Each
-    # stage is one call over all days: on a 2-core Xeon with numpy 2.4 and
-    # BLAS on one thread, this sweep and the batched push take 24 us against
-    # 138 us through the loops on route_e0t1 (M = 6, N = 30), and 29 against
-    # 206 us on bottleneck_e0t20 (M = 40).  z comes back repeated to (N, M),
-    # the loop's shape.  Equal to the loop up to rounding: the loop carries
-    # each day's shift in a max, the branch in a sum of minima.
+    # stage is one call over all days; route-fp's solve_s (route_e0t1)
+    # measures it.  z comes back repeated to (N, M), the shape of the other
+    # forms.
     n_days, m = f_table.shape
     f_min = f_table.min(axis=1)
     if row is not None:
@@ -299,56 +304,80 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
         values = np.zeros((n_days + 1, m))
         np.add(f_table, g[:, None], out=values[:-1])
         return values, u, np.repeat(z[:, None], m, axis=1)
-    # Otherwise the days loop in scaling form, with no log or exp inside the
-    # loop.  exp(-theta V_{n+1}) is proportional to w_{n+1} * z_{n+1}, with
-    # w_{n+1} = exp(theta (min f_{n+1} - f_{n+1}) + H): u_n is that product
-    # divided by s_{n+1}, and V_n = f_n - ln z_n / theta + h_n, where h_n sums
-    # min f_m - (ln s_m - H) / theta over m > n.  The headroom H = -ln min
-    # kernel = theta max d is required: z_{n+1} ranges over [e^-H, M] max
-    # u_{n+1}, so without it a weight that exp rounds to 0 could come back
-    # by a z ratio of up to e^H (at theta max d = 699 that moved policy
-    # entries by 1).  With it the best option's product is e^H (K u)(b) >=
-    # max u: max u never falls, so a weight lost to underflow is below
-    # M e^-745 of the day's largest and below M e^-45 of z, the bound of
-    # _soft_backup.  A day multiplies max u by at most M e^H, so s_m is the
-    # product's max every ``stride`` days, the most that keep the products
-    # below the float range from max u = 1 (the 1 off ln(float max) covers
-    # their rounding), and 1 on the days between.  That is no day in 30 on
-    # route_e1t1 (H = 1), every 11th day on bottleneck_e1t20 (H = 58.5,
-    # M = 40) and every day near the kernel limit; the stride is at least 1,
-    # so the products stay finite for M below about 17,000.  After the loop
-    # the values take ln z; then one broadcast scales each day's u to max 1
-    # and one matrix product forms z = K u from it, so the push, the fold and
-    # _softmax_policies get the ranges and factors of a daily rescale (the
-    # loop's z divided by the scale moved the pushed flows by about an ulp).
-    # One exp before the loop and one log after it; a day is one mat-vec and
-    # one product.
+    # Otherwise u_{n-1} is proportional to diag(w_n) K u_n in scaling form,
+    # with no log or exp per day: w_n = exp(theta (min f_n - f_n) + H) is
+    # exp(-theta f_n) up to a factor, and exp(-theta V_n) is proportional to
+    # w_n * (K u_n).  The headroom H = -ln min kernel = theta max d is
+    # required: z_{n+1} ranges over [e^-H, M] max u_{n+1}, so without it a
+    # weight that exp rounds to 0 could come back by a z ratio of up to e^H
+    # (at theta max d = 699 that moved policy entries by 1).  With it the
+    # best option's product is e^H (K u)(b) >= max u: max u never falls, so
+    # a weight lost to underflow is below M e^-745 of the day's largest and
+    # below M e^-45 of z, the bound of _soft_backup.  A day multiplies max u
+    # by at most M e^H, so the products stay below the float range from
+    # max u = 1 for ``stride`` days (the 1 off ln(float max) covers their
+    # rounding): no day in 30 on route_e1t1 (H = 1), every 11th day on
+    # bottleneck_e1t20 (H = 58.5, M = 40), every day near the kernel limit.
+    # The stride is at least 1, so the products stay finite for M below
+    # about 17,000.
+    #
+    # Two forms give the same u up to rounding.  On a small kernel (M at
+    # most _PREFIX_MAX_M) whose horizon fits in one stride (stride >= N - 1),
+    # the recurrence runs as prefix products, u_n^T = 1^T T_{N-1}^T ...
+    # T_{n+1}^T with T_n^T = K^T diag(w_n), in ceil(log2(N - 1)) stacked
+    # products (_prefix_products); no partial product exceeds the loop's
+    # bound, so none is rescaled.  Otherwise the days loop, one mat-vec and
+    # one product a day, and divide u by its max every ``stride`` days.
+    # route-cli's and bottleneck-fp's solve_s measure the two forms.
+    #
+    # Then one broadcast scales each day's u to max 1, so u_n =
+    # exp(-theta (V_{n+1} - min V_{n+1})), and one matrix product forms
+    # z = K u: the push, the fold and _softmax_policies get the ranges and
+    # factors of a daily rescale.  So V_n = a_n + min V_{n+1} with a_n =
+    # f_n - ln z_n / theta, as in _soft_backup, and min V_{n+1} sums
+    # min a_m over m > n: the values take one log after the sweep, and
+    # their rounding scales with the sums of day minima, as in the branch
+    # above, not with the headroom carried by the unscaled products.
     head = -math.log(kernel.min())
     growth = head + math.log(m)
     stride = max(1, int((_LOG_FLOAT_MAX - 1.0) / growth)) if growth > 0.0 else n_days
     weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + head)
     u = np.empty((n_days, m))
     z = np.empty((n_days, m))
-    scale = np.ones(n_days)
     u[-1] = 1.0
-    for n in range(n_days - 1, 0, -1):
-        p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
-        if (n_days - n) % stride == 0:
-            # The max over a list, as a Python float: faster than an array's.
-            scale[n] = top = max(p.tolist())
-            p /= top
-    kernel.dot(u[0], out=z[0])
-    h = np.zeros(n_days)
-    h[:-1] = f_min[1:] - (np.log(scale[1:]) - head) / theta
-    h = np.cumsum(h[::-1])[::-1]
+    if m <= _PREFIX_MAX_M and stride >= n_days - 1:
+        u[-2::-1] = _prefix_products(kernel.T, weights[::-1], u[-1])
+    else:
+        for n in range(n_days - 1, 0, -1):
+            p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
+            if (n_days - n) % stride == 0:
+                # The max over a list, as a Python float: faster than an array's.
+                p /= max(p.tolist())
+    u /= u.max(axis=1, keepdims=True)
+    np.dot(u, kernel.T, out=z)
     values = np.zeros((n_days + 1, m))
     np.log(z, out=values[:-1])
     values[:-1] /= -theta
     values[:-1] += f_table
-    values[:-1] += h[:, None]
-    u /= u.max(axis=1, keepdims=True)
-    np.dot(u, kernel.T, out=z)
+    values[:-2] += np.cumsum(values[-2:0:-1].min(axis=1))[::-1, None]
     return values, u, z
+
+
+def _prefix_products(kernel, scales, start):
+    # Rows start @ A_0 @ ... @ A_k for every k, with A_k = kernel diag(scales[k]),
+    # by recursive doubling (Hillis and Steele; Blelloch 1990): after the
+    # level of offset d, entry k holds the product of A_{k-2d+1} .. A_k, so
+    # ceil(log2 len(scales)) stacked products form all of them, where a day
+    # loop takes len(scales) dependent steps.  Every entry is non-negative,
+    # so no product cancels.
+    # Each level writes over its own right operand: numpy buffers operands
+    # that overlap the output, so every product reads the previous level.
+    prods = kernel * scales[:, None, :]
+    d = 1
+    while d < len(prods):
+        np.matmul(prods[:-d], prods[d:], out=prods[d:])
+        d *= 2
+    return np.matmul(start, prods)
 
 
 def _softmax_policies(kernel, u, z):
@@ -406,13 +435,17 @@ def forward_step(pi, mu) -> np.ndarray:
 def _forward_propagate_core(kernel, u, z, mu0, row=None):
     # Flows of the softmax policies of a sweep with factors (u, z), pushed in
     # kernel form: mu_{n+1}(x) = u_n(x) sum_s (mu_n(s) / z_n(s)) kernel(s, x),
-    # with no M x M table (the sweep keeps z >= e^(-theta max d)).  The loop
-    # carries nu_n = mu_n / z_n, so a day is one vector-matrix product and
-    # one product with u_n / z_{n+1}, formed for all days at once.  The push
-    # keeps mass, so no day is renormalized inside the loop: after it, one
-    # sum per day checks each day's mass against the day before, and one
-    # division scales every day to 1.  Equal to forward_propagate of those
-    # policies up to rounding.
+    # with no M x M table (the sweep keeps z >= e^(-theta max d)).  The push
+    # carries nu_n = mu_n / z_n, so nu_{n+1} = nu_n B_n with the day map
+    # B_n = kernel diag(u_n / z_{n+1}), formed for all days at once.  At
+    # m <= _PREFIX_MAX_M every nu_n comes from the prefix products of the
+    # B_n (_prefix_products), which need no rescale: B_n ... B_k is
+    # diag(z_n) pi_n ... pi_k diag(1 / z_{k+1}), at most M e^(theta max d).
+    # Otherwise the days loop, one vector-matrix product and one product a
+    # day.  The push keeps mass, so no day is renormalized on the way: after
+    # it, one sum per day checks each day's mass against the day before, and
+    # one division scales every day to 1.  Equal to forward_propagate of
+    # those policies up to rounding.
     #
     # Given the kernel's common ``row`` k, every row of pi_n is u_n * k / z_n,
     # so mu_{n+1} is that row whatever mu_n is: all days in one broadcast,
@@ -428,9 +461,12 @@ def _forward_propagate_core(kernel, u, z, mu0, row=None):
         ratio = u[:-1] / z[1:]
         nu = np.empty((n_days, m))
         np.divide(mu0, z[0], out=nu[0])
-        for today, tomorrow, r in zip(nu, nu[1:], ratio):
-            np.dot(today, kernel, out=tomorrow)
-            tomorrow *= r
+        if m <= _PREFIX_MAX_M:
+            nu[1:] = _prefix_products(kernel, ratio, nu[0])
+        else:
+            for today, tomorrow, r in zip(nu, nu[1:], ratio):
+                np.dot(today, kernel, out=tomorrow)
+                tomorrow *= r
         push = np.multiply(nu[1:], z[1:], out=out[1:])
         total = out.sum(axis=1)
         drift = np.abs(total[1:] / total[:-1] - 1.0)

@@ -18,28 +18,36 @@ Gibbs kernel and (u_n, z_n) the factors the backward sweep already computes,
 so the induced flow is mu_{n+1} = u_n * ((mu_n / z_n) K): one vector-matrix
 product a day, the scaling form in which Sinkhorn's algorithm applies a
 Gibbs plan without building it (Cuturi, NeurIPS 2013).  The sweep runs in
-the same form (``core._backward_induction_core``), one mat-vec and one
-product a day.  Like stabilized Sinkhorn scaling, it rescales its vector only
-where a bound says the float range needs it (Schmitzer, SIAM J. Sci. Comput.
-2019), and its exp and log run once over all days.  The push keeps mass, so
-it renormalizes once, after its loop.  On a 2-core Xeon with numpy 2.4 and
-BLAS on one thread, one day's push takes 1.6 us this way against 4.2 us as
-an elementwise M x M product and column sum at M = 40 (1.8 against 3.5 us
-at M = 6).  A 30-day sweep takes 82 us against 120 us rescaling every day
-at M = 40, and 61 against 87 us at M = 6; the push 49 and 43 us (best of
-seven).  An iteration on route_e1t1 takes 165 us, on bottleneck_e1t20
-425 us (best of three runs of 1,000 iterations).  The flows equal
-``forward_propagate`` of the tables up to rounding: within 2.8e-16 on
+the same form (``core._backward_induction_core``): u_{n-1} is proportional
+to diag(w_n) K u_n, with w_n = exp(-theta f_n) up to a factor.  Like
+stabilized Sinkhorn scaling, it rescales its vector only where a bound says
+the float range needs it (Schmitzer, SIAM J. Sci. Comput. 2019), and its exp
+and log run once over all days.  The push keeps mass, so it renormalizes
+once, after all days.
+
+Both recurrences are linear, one matrix a day, so each runs in one of two
+forms.  On a small kernel (M at most ``core._PREFIX_MAX_M`` = 8) they run
+as prefix products of the day maps by recursive doubling (Blelloch, "Prefix
+sums and their applications", 1990; Sarkka and Garcia-Fernandez, IEEE TAC
+2021): ceil(log2(N - 1)) stacked matrix products, where the loop takes
+N - 1 dependent steps that each cost numpy's per-call overhead at small M.  The sweep takes the products only
+when its horizon needs no rescale (its stride is at least N - 1); the push
+always may, as its partial products stay below M e^(theta max d).  Any
+other model loops over the days, one mat-vec and one product a day: at
+M = 10 the products already cost more than the loop, at M = 40 about seven
+times as much.  So route_e1t1 (M = 6) takes the products and
+bottleneck_e1t20 (M = 40) the loop; the ``solve_s`` of the benchmark's
+route-cli and bottleneck-fp workloads measure them.  Both forms equal
+``forward_propagate`` of the tables up to rounding: within 3.3e-16 on
 route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100 iterations.
 
 With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
 one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
 for a scalar g_n, and the pushed flow u_n * k / z_n does not depend on mu_n.
-The sweep and the push then take no day loop: each of their stages is one
-call over all N days (``core._backward_induction_core``).  On the same
-machine one iteration takes 69 us against 159 us through the day loop on
-route_e0t1, and the results equal the day loop's up to rounding.  Every
-epsilon > 0 config runs the day loop.
+The sweep and the push then need neither form: each of their stages is one
+call over all N days (``core._backward_induction_core``), measured by the
+route-fp workload's ``solve_s``, and the results equal the other forms' up
+to rounding.
 
 No policy table enters the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
 pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s) either.  With pol_n^i =
@@ -254,8 +262,8 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
                 + head * den.sum()
                 - _xlogx(den).sum()
             )
-            held = np.sum(avg_mf * f_table) + switching / (cm.theta * k)
-            gap = float(held) - float(np.sum(cfg.mu0 * br_values[0]))
+            held = np.vdot(avg_mf, f_table) + switching / (cm.theta * k)
+            gap = float(held) - float(cfg.mu0 @ br_values[0])
             if gap <= cfg.exploitability_tol or j > cfg.max_iters:
                 np.multiply(gibbs, occ, out=weighted)
                 avg_pol = _weighted_policy_average(weighted, den, m)

@@ -102,6 +102,10 @@ def path_costs(mu, net: RoadNetwork) -> np.ndarray:
     """
     v = link_flows(mu, net)
     times = net.free_flow * (1.0 + net.coef * (v / net.capacity) ** 4)
+    # Both contractions stay einsum calls, not ``@``: BLAS sums a row of a
+    # batch and the same row alone in different orders, so the matrix
+    # product, 2-3 us faster a call on grid9, breaks CostModel's rule that
+    # a batched row equals its single-day call bit for bit.
     return np.einsum("...l,sl->...s", times, net.incidence)
 
 

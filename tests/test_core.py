@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import xlogy
 
+from mfgcommute import core
 from mfgcommute.core import (
     KERNEL_LIMIT,
     CostModel,
@@ -548,9 +549,11 @@ def test_separable_branch_matches_the_day_loop():
             assert_batched_matches_the_loop(cm, mu, rng.dirichlet(np.ones(m)))
 
 
-def test_scaling_form_day_loop_matches_the_log_domain_loop():
+def test_scaling_form_day_loop_matches_the_log_domain_loop(monkeypatch):
     # The day loop's sweep and push against the log-domain loop they
     # replaced (oracles.log_domain_sweep), within the batched branch's bounds.
+    # No M takes the prefix products here, so every model runs the loop.
+    monkeypatch.setattr(core, "_PREFIX_MAX_M", 0)
     rng = np.random.default_rng(23)
 
     def check(cm, mu, mu0):
@@ -576,6 +579,80 @@ def test_scaling_form_day_loop_matches_the_log_domain_loop():
             check(cm, mu, rng.dirichlet(np.ones(m)))
 
 
+def count_prefix_products(monkeypatch):
+    # The number of factors of each core._prefix_products call, in order.
+    calls = []
+    prefix_products = core._prefix_products
+
+    def counted(kernel, scales, start):
+        calls.append(len(scales))
+        return prefix_products(kernel, scales, start)
+
+    monkeypatch.setattr(core, "_prefix_products", counted)
+    return calls
+
+
+def test_prefix_products_match_the_day_loop_and_the_log_domain_loop(monkeypatch):
+    # A small kernel whose horizon needs no rescale runs the sweep and the
+    # push as prefix products.  On the same inputs they must match the day
+    # loop (forced by M* = 0) and the log-domain loop, within the batched
+    # branch's bounds.  The horizons give the doubling's edge cases: 0 and 1
+    # products take no level, 2 one, 3 a second level that reaches only the
+    # last product, 29 and 32 five levels, the first ending short of a power
+    # of two and the second on one.  Inertia of at most 1 keeps theta max d
+    # below 20, so the stride is at least 32 for M <= 8.
+    rng = np.random.default_rng(25)
+    calls = count_prefix_products(monkeypatch)
+    for m in (1, 2, 5, 8):
+        for n_products in (0, 1, 2, 3, 29, 32):
+            cm = random_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)), bound=1.0)
+            f_table = cm.cost(rng.dirichlet(np.ones(m), size=n_products + 1))
+            mu0 = rng.dirichlet(np.ones(m))
+            got = _backward_induction_core(f_table, cm.kernel, cm.theta)
+            got_push = _forward_propagate_core(cm.kernel, *got[1:], mu0)
+            assert calls == [n_products, n_products]
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_PREFIX_MAX_M", 0)
+                loop = _backward_induction_core(f_table, cm.kernel, cm.theta)
+                loop_push = _forward_propagate_core(cm.kernel, *loop[1:], mu0)
+            assert len(calls) == 2
+            calls.clear()
+            assert_sweeps_agree(cm.theta, got, loop, got_push, loop_push, mu0)
+            want = log_domain_sweep(f_table, cm.kernel, cm.theta)
+            assert_sweeps_agree(
+                cm.theta, got, want, got_push,
+                log_domain_push(cm.kernel, *want[1:], mu0), mu0)
+            assert (got[1].max(axis=1) == 1.0).all()
+
+
+def test_each_model_takes_its_pinned_path(monkeypatch):
+    # Which of the sweep and the push run as prefix products: route_e1t1
+    # (M = 6, H = 1) both; bottleneck_e1t20 (M = 40) neither, it loops over
+    # the days; route_e0t1 neither, it has a common kernel row.  A small-M
+    # model at theta max d = 300 over 60 days has a stride of 2, so its sweep
+    # loops, rescaling, while its push, bounded by M e^H, takes the products.
+    # At theta max d = 50 the stride is 13: 12 days take the products and
+    # 60 days the loop, the two forms the headroom test below covers.
+    rng = np.random.default_rng(26)
+    calls = count_prefix_products(monkeypatch)
+
+    def paths(cm, n_days):
+        calls.clear()
+        f_table = cm.cost(rng.dirichlet(np.ones(cm.M), size=n_days))
+        _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
+        sweep = list(calls)
+        _forward_propagate_core(cm.kernel, u, z, rng.dirichlet(np.ones(cm.M)), cm.kernel_row)
+        return sweep, calls[len(sweep):]
+
+    assert paths(shipped_model("route_e1t1")[1], 30) == ([29], [29])
+    assert paths(shipped_model("bottleneck_e1t20")[1], 30) == ([], [])
+    assert paths(shipped_model("route_e0t1")[1], 30) == ([], [])
+    assert paths(headroom_cost_model(rng, 5, 300.0), 60) == ([], [59])
+    for m in (3, 8):
+        assert paths(headroom_cost_model(rng, m, 50.0), 12) == ([11], [11])
+        assert paths(headroom_cost_model(rng, m, 50.0), 60) == ([], [59])
+
+
 def headroom_cost_model(rng, m, theta_d_max):
     # theta * max d at theta_d_max, with costs spread over 16 to 24 times
     # max d: exp(theta (min f - f)) underflows for the dearest options even
@@ -599,7 +676,10 @@ def test_scaling_form_keeps_its_headroom_at_the_kernel_limit(theta_d_max):
     # the push forward_propagate of the explicit tables.  The sweep rescales
     # u inside its loop every floor((ln float max - 1) / (H + ln M)) days:
     # 13 at theta max d = 50, so only the 60-day horizon reaches that
-    # rescale there.  Every day's u comes back with max exactly 1.
+    # rescale there.  Every day's u comes back with max exactly 1.  So the
+    # test covers both forms of the sweep: its 12-day cases at theta max d =
+    # 50 need no rescale and take the prefix products, and its 60-day cases
+    # take the day loop.  The push takes the products on every case (M <= 8).
     rng = np.random.default_rng(24)
     for n_days in (12, 60):
         for m in (3, 5, 8):
