@@ -496,12 +496,18 @@ def forward_propagate(pi, mu0) -> np.ndarray:
 # policy evaluation
 
 
-def _xlogx(x):
-    # x ln x elementwise over a non-negative array, with 0 ln 0 = 0: the log
-    # runs over the positive entries only.
-    out = np.zeros(x.shape)
-    np.log(x, out=out, where=x > 0.0)
+def _xlogx(x, out=None):
+    # x ln x elementwise over a non-negative array, with 0 ln 0 = +0.0, into
+    # ``out`` if given (it must not share memory with ``x``).  Every positive
+    # float is at least 5e-324, the smallest subnormal, so the floor changes
+    # only the zeros, whose finite log times 0 is -0.0; adding +0.0 turns
+    # that into +0.0 and leaves every other entry as it is.  So no log(0) is
+    # taken and the bits equal those of the log over the positive entries
+    # only.
+    out = np.maximum(x, 5e-324, out=out)
+    np.log(out, out=out)
     out *= x
+    out += 0.0
     return out
 
 

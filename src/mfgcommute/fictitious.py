@@ -53,8 +53,10 @@ No policy table enters the occupancy sums num_n(s, x) = sum_i mf_n^i(s)
 pol_n^i(x|s) and den_n(s) = sum_i mf_n^i(s) either.  With pol_n^i =
 diag(1/z) K diag(u), num_n = K * A_n for A_n = sum_i (mf_n^i / z_n^i) u_n^i,
 an outer product of two vectors a day, formed by one einsum into one buffer
-and folded by one add: the einsum takes 34 us at M = 40, against 60 us as a
-broadcast product, with the same bits.  The loop keeps occ = A min K, with
+and folded by one add.  The einsum gives a broadcast product's bits without
+its temporary and, at M = 40, in less time; the bottleneck-fp workload's
+``solve_s`` and traced ``fictitious.self_us_per_iter`` measure the fold
+with the held cost below.  The loop keeps occ = A min K, with
 min K = e^-H and H = theta max d: mf / z is at most e^H, so A could grow
 past the float range over a long run at the kernel limit, while occ stays
 at most k.  The tables num = G * occ, with G = K / min K, are formed only at
@@ -72,15 +74,17 @@ sum num = sum den that cost is
     sum avg_mf * f
         + (<G, sum_n occ_n ln occ_n> + H sum den - sum den ln den) / (theta k).
 
-The entropy sums take 0 ln 0 = 0 by numpy's log over the positive entries
-only (``core._xlogx``, the package's one x ln x).  On a 2-core Xeon with
-numpy 2.4 and scipy 1.17, the row sums of x ln x over a 6 x 6 policy take
-3.6 us this way against 2.4 us with scipy's ``xlogy``, but over all 30 days
-of route_e0t1 at once 10 us against 72 us for 30 ``xlogy`` calls; at
-M = 40 one policy takes 10.5 against 17.7 us.  So ``_policy_evaluate_core``
-forms the entropy of every day in one call.  The held cost matches the
-elementwise form up to rounding, and only the uncertified trace entries use
-it.
+The entropy sums take 0 ln 0 = 0 through ``core._xlogx``, the package's
+one x ln x.  It floors x at the smallest subnormal and takes an unmasked
+log, which gives the bits of a log over the positive entries only without
+numpy's slower masked loop, and it writes into a buffer it is given: the
+held cost's x ln x of occ goes into the fold's buffer, which the stop
+candidate and the fold overwrite afterwards, so no iteration allocates an
+N x M x M array.  ``_policy_evaluate_core`` likewise forms the entropy of
+every day in one call rather than one a day.  The bottleneck-fp workload's
+``solve_s`` and traced ``fictitious.self_us_per_iter`` measure this pass.
+The held cost matches the elementwise form up to rounding, and only the
+uncertified trace entries use it.
 
 The average policy is formed only at a stop candidate (that gap at or below
 tolerance, or the budget spent), where the backward sweep ``exploitability``
@@ -257,8 +261,10 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
         br_values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
         if j > 1:
             k = j - 1
+            # ``weighted`` is free here: the stop candidate and the fold
+            # both overwrite it before they read it.
             switching = (
-                np.vdot(gibbs, _xlogx(occ).sum(axis=0))
+                np.vdot(gibbs, _xlogx(occ, out=weighted).sum(axis=0))
                 + head * den.sum()
                 - _xlogx(den).sum()
             )

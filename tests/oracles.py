@@ -225,6 +225,18 @@ def concavity_check(v, v_alt, mu, cm) -> bool:
     return bool(np.all(per_state)) and aggregate
 
 
+def masked_xlogx(x):
+    """x ln x with the log taken over the positive entries only, 0 ln 0 = +0.0.
+
+    A reference for ``core._xlogx``, which floors its input at the smallest
+    subnormal instead of masking the log; the two must give the same bits.
+    """
+    out = np.zeros(np.shape(x))
+    np.log(x, out=out, where=x > 0.0)
+    out *= x
+    return out
+
+
 def rescan_average_policy(history, j):
     """Occupancy-weighted average of the first ``j`` (flow, policy) iterates, row by row.
 

@@ -40,6 +40,7 @@ from oracles import (
     concavity_check,
     log_domain_push,
     log_domain_sweep,
+    masked_xlogx,
     occupancy_total_cost,
 )
 
@@ -795,12 +796,22 @@ def test_xlogx_matches_scipy_xlogy():
     rng = np.random.default_rng(21)
     for m in (6, 40):
         p = random_sparse_policies(rng, 30, m)
+        # Occupancy sums exceed 1, so the test covers entries above 1 too.
+        p[:, :, 1] *= 1.0 + 1e3 * rng.random((30, m))
         zero = p == 0.0
-        assert zero.any() and (p[~zero] < np.finfo(float).tiny).any()
+        assert zero.any() and (p[~zero] < np.finfo(float).tiny).any() and (p > 1.0).any()
         ours, ref = _xlogx(p), xlogy(p, p)
         assert (ours[zero] == 0.0).all() and not np.signbit(ours[zero]).any()
         tol = 4 * np.finfo(float).eps * np.abs(ref) + np.finfo(float).smallest_subnormal
         assert (np.abs(ours - ref) <= tol).all()
+        # The floored form gives the masked log's bits, sign of zero included.
+        assert ours.tobytes() == masked_xlogx(p).tobytes()
+        buf = np.full(p.shape, np.nan)
+        assert _xlogx(p, out=buf) is buf
+        assert buf.tobytes() == ours.tobytes()
+    zeros = np.zeros((3, 4))
+    for got in (_xlogx(zeros), _xlogx(zeros, out=np.ones((3, 4)))):
+        assert (got == 0.0).all() and not np.signbit(got).any()
 
 
 def test_policy_evaluate_batched_entropy_matches_a_per_day_loop():

@@ -182,14 +182,22 @@ def test_fictitious_play_report_invariants(route_cm_e1t1, grid9_mu0):
 
 
 def test_fictitious_play_deterministic(route_cm_e1t1, grid9_mu0):
-    cfg = FPConfig(mu0=grid9_mu0, horizon=30, max_iters=25,
-                   exploitability_tol=1e-9)
-    a = fictitious_play(route_cm_e1t1, cfg)
-    b = fictitious_play(route_cm_e1t1, cfg)
-    assert a.exploitability_trace == b.exploitability_trace
-    assert np.array_equal(a.avg_mf, b.avg_mf)
-    assert np.array_equal(a.avg_policy, b.avg_policy)
-    assert np.array_equal(a.value_seq, b.value_seq)
+    # bottleneck_e1t20 (M = 40) runs the day loop, route_e1t1 the prefix
+    # products; both share one buffer between the held pass and the fold.
+    _, bottleneck_cm, _, bottleneck_fp = shipped_model("bottleneck_e1t20")
+    runs = [
+        (route_cm_e1t1, FPConfig(mu0=grid9_mu0, horizon=30, max_iters=25,
+                                 exploitability_tol=1e-9)),
+        (bottleneck_cm, FPConfig(mu0=bottleneck_fp.mu0, horizon=bottleneck_fp.horizon,
+                                 max_iters=5, exploitability_tol=1e-9)),
+    ]
+    for cm, cfg in runs:
+        a = fictitious_play(cm, cfg)
+        b = fictitious_play(cm, cfg)
+        assert a.exploitability_trace == b.exploitability_trace
+        assert np.array_equal(a.avg_mf, b.avg_mf)
+        assert np.array_equal(a.avg_policy, b.avg_policy)
+        assert np.array_equal(a.value_seq, b.value_seq)
 
 
 def test_incremental_average_matches_rescan(monkeypatch, route_cm_e1t1, grid9_mu0):
