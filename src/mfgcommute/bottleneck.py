@@ -92,7 +92,7 @@ def delay_profile(mu, spec: BottleneckSpec) -> np.ndarray:
     (M,) mean field or a stacked (..., M) batch.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.shape[-1] != spec.M:
+    if mu.ndim == 0 or mu.shape[-1] != spec.M:
         raise InvalidInputError(f"mean field must have {spec.M} entries")
     g = np.cumsum(mu, axis=-1) / spec.normalized_capacity - np.arange(spec.M)
     return (g - np.minimum.accumulate(g, axis=-1)) * spec.slice_hours

@@ -179,11 +179,17 @@ class CostModel:
     bit for bit (separable inertia, d(s, x) = b(x), as at epsilon = 0), else
     None.  Given it, the backward sweep and the push run all days in one
     broadcast each, with no day loop (``_backward_induction_core``).
-    Otherwise they run in scaling form, with the headroom theta * max d that
-    the limit bounds: at M <= 8 as prefix products of the day maps, log2 N
-    stacked products (the sweep only while its horizon needs no rescale),
-    and else as a loop over the days, one mat-vec a day.  The benchmark's
-    route-fp, route-cli and bottleneck-fp ``solve_s`` measure the three.
+    Otherwise they run in scaling form, with the ``headroom`` H = -ln min
+    kernel = theta max d that the limit bounds: at M <= 8 as prefix products
+    of the day maps, log2 N stacked products (the sweep only while its horizon
+    needs no rescale), and else as a loop over the days, one mat-vec a day.
+    The benchmark's route-fp, route-cli and bottleneck-fp ``solve_s`` measure
+    the three.  A day grows the sweep's max u by at most M e^H, so it rescales
+    every ``stride`` = max(1, floor((ln float max - 1) / (H + ln M))) days,
+    the 1 for rounding: 253 on route_e1t1 ((709.78 - 1) / (1 + ln 6) = 253.9),
+    11 on bottleneck_e1t20 (H = 58.5, M = 40), 1 near the kernel limit, and
+    finite below M = 17,000.  At H + ln M = 0 (one option, no inertia) nothing
+    grows, and the stride is the largest array length.
     """
 
     cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -192,6 +198,8 @@ class CostModel:
     bound_C: float
     kernel: np.ndarray = field(init=False, repr=False)
     kernel_row: np.ndarray | None = field(init=False, repr=False)
+    headroom: float = field(init=False, repr=False)
+    stride: int = field(init=False, repr=False)
 
     def __post_init__(self):
         d = _numbers(self.inertia_matrix, "inertia_matrix")
@@ -216,6 +224,9 @@ class CostModel:
         self.inertia_matrix = d
         self.kernel = kernel = np.exp(-self.theta * d)
         self.kernel_row = kernel[0] if (kernel == kernel[0]).all() else None
+        self.headroom = -math.log(kernel.min())
+        growth = self.headroom + math.log(d.shape[0])
+        self.stride = max(1, int((_LOG_FLOAT_MAX - 1.0) / growth)) if growth else np.iinfo(np.intp).max
 
     @property
     def M(self) -> int:
@@ -277,13 +288,13 @@ def bellman_apply(v_next, mu, cm: CostModel):
     return cm.cost(mu) + soft, _softmax_policies(cm.kernel, u, z)
 
 
-def _backward_induction_core(f_table, kernel, theta, row=None):
+def _backward_induction_core(f_table, cm):
     # Day n's softmax policy is kept in factor form, pi_n = diag(1/z_n)
     # kernel diag(u_n), with max u_n = 1 as in _soft_backup; _softmax_policies
     # forms the tables and _forward_propagate_core pushes flows through the
     # factors without them.
     #
-    # Given the kernel's common ``row`` k (CostModel.kernel_row), there is no
+    # Given the kernel's common row k (CostModel.kernel_row), there is no
     # day loop.  Every z_n is one number, so V_n = f_n + g_n for a scalar g_n,
     # and u_n = exp(-theta (f_{n+1} - min f_{n+1})) for every day at once
     # (u_{N-1} = 1, from V_N = 0): the shift is min V_{n+1} - min f_{n+1} =
@@ -293,6 +304,7 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # measures it.  z comes back repeated to (N, M), the shape of the other
     # forms.
     n_days, m = f_table.shape
+    kernel, theta, row = cm.kernel, cm.theta, cm.kernel_row
     f_min = f_table.min(axis=1)
     if row is not None:
         u = np.ones((n_days, m))
@@ -307,19 +319,14 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # Otherwise u_{n-1} is proportional to diag(w_n) K u_n in scaling form,
     # with no log or exp per day: w_n = exp(theta (min f_n - f_n) + H) is
     # exp(-theta f_n) up to a factor, and exp(-theta V_n) is proportional to
-    # w_n * (K u_n).  The headroom H = -ln min kernel = theta max d is
-    # required: z_{n+1} ranges over [e^-H, M] max u_{n+1}, so without it a
-    # weight that exp rounds to 0 could come back by a z ratio of up to e^H
-    # (at theta max d = 699 that moved policy entries by 1).  With it the
-    # best option's product is e^H (K u)(b) >= max u: max u never falls, so
-    # a weight lost to underflow is below M e^-745 of the day's largest and
-    # below M e^-45 of z, the bound of _soft_backup.  A day multiplies max u
-    # by at most M e^H, so the products stay below the float range from
-    # max u = 1 for ``stride`` days (the 1 off ln(float max) covers their
-    # rounding): no day in 30 on route_e1t1 (H = 1), every 11th day on
-    # bottleneck_e1t20 (H = 58.5, M = 40), every day near the kernel limit.
-    # The stride is at least 1, so the products stay finite for M below
-    # about 17,000.
+    # w_n * (K u_n).  The headroom H = CostModel.headroom is required:
+    # z_{n+1} ranges over [e^-H, M] max u_{n+1}, so without it a weight that
+    # exp rounds to 0 could come back by a z ratio of up to e^H (at theta
+    # max d = 699 that moved policy entries by 1).  With it the best
+    # option's product is e^H (K u)(b) >= max u: max u never falls, so a
+    # weight lost to underflow is below M e^-745 of the day's largest and
+    # below M e^-45 of z, the bound of _soft_backup.  Rescaled every
+    # CostModel.stride days, the products stay below the float range.
     #
     # Two forms give the same u up to rounding.  On a small kernel (M at
     # most _PREFIX_MAX_M) whose horizon fits in one stride (stride >= N - 1),
@@ -338,19 +345,16 @@ def _backward_induction_core(f_table, kernel, theta, row=None):
     # min a_m over m > n: the values take one log after the sweep, and
     # their rounding scales with the sums of day minima, as in the branch
     # above, not with the headroom carried by the unscaled products.
-    head = -math.log(kernel.min())
-    growth = head + math.log(m)
-    stride = max(1, int((_LOG_FLOAT_MAX - 1.0) / growth)) if growth > 0.0 else n_days
-    weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + head)
+    weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + cm.headroom)
     u = np.empty((n_days, m))
     z = np.empty((n_days, m))
     u[-1] = 1.0
-    if m <= _PREFIX_MAX_M and stride >= n_days - 1:
+    if m <= _PREFIX_MAX_M and cm.stride >= n_days - 1:
         u[-2::-1] = _prefix_products(kernel.T, weights[::-1], u[-1])
     else:
         for n in range(n_days - 1, 0, -1):
             p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
-            if (n_days - n) % stride == 0:
+            if (n_days - n) % cm.stride == 0:
                 # The max over a list, as a Python float: faster than an array's.
                 p /= max(p.tolist())
     u /= u.max(axis=1, keepdims=True)
@@ -397,7 +401,7 @@ def backward_induction(mu, cm: CostModel):
     Returns ``(values, policies)`` with shapes (N+1, M) and (N, M, M).
     """
     mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
-    values, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
+    values, u, z = _backward_induction_core(cm.cost(mu), cm)
     return values, _softmax_policies(cm.kernel, u, z)
 
 
@@ -432,7 +436,7 @@ def forward_step(pi, mu) -> np.ndarray:
     return _forward_step_core(pi, mu)
 
 
-def _forward_propagate_core(kernel, u, z, mu0, row=None):
+def _forward_propagate_core(cm, u, z, mu0):
     # Flows of the softmax policies of a sweep with factors (u, z), pushed in
     # kernel form: mu_{n+1}(x) = u_n(x) sum_s (mu_n(s) / z_n(s)) kernel(s, x),
     # with no M x M table (the sweep keeps z >= e^(-theta max d)).  The push
@@ -447,10 +451,11 @@ def _forward_propagate_core(kernel, u, z, mu0, row=None):
     # one division scales every day to 1.  Equal to forward_propagate of
     # those policies up to rounding.
     #
-    # Given the kernel's common ``row`` k, every row of pi_n is u_n * k / z_n,
+    # Given the kernel's common row k, every row of pi_n is u_n * k / z_n,
     # so mu_{n+1} is that row whatever mu_n is: all days in one broadcast,
     # with the drift check on each day's mass against z_n.
     n_days, m = u.shape
+    kernel, row = cm.kernel, cm.kernel_row
     out = np.empty((n_days, m))
     out[0] = mu0
     if row is not None:

@@ -26,20 +26,20 @@ and log run once over all days.  The push keeps mass, so it renormalizes
 once, after all days.
 
 Both recurrences are linear, one matrix a day, so each runs in one of two
-forms.  On a small kernel (M at most ``core._PREFIX_MAX_M`` = 8) they run
-as prefix products of the day maps by recursive doubling (Blelloch, "Prefix
+forms.  On a small kernel (M at most ``core._PREFIX_MAX_M`` = 8) they run as
+prefix products of the day maps by recursive doubling (Blelloch, "Prefix
 sums and their applications", 1990; Sarkka and Garcia-Fernandez, IEEE TAC
-2021): ceil(log2(N - 1)) stacked matrix products, where the loop takes
-N - 1 dependent steps that each cost numpy's per-call overhead at small M.  The sweep takes the products only
-when its horizon needs no rescale (its stride is at least N - 1); the push
-always may, as its partial products stay below M e^(theta max d).  Any
-other model loops over the days, one mat-vec and one product a day: at
-M = 10 the products already cost more than the loop, at M = 40 about seven
-times as much.  So route_e1t1 (M = 6) takes the products and
-bottleneck_e1t20 (M = 40) the loop; the ``solve_s`` of the benchmark's
-route-cli and bottleneck-fp workloads measure them.  Both forms equal
-``forward_propagate`` of the tables up to rounding: within 3.3e-16 on
-route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100 iterations.
+2021): ceil(log2(N - 1)) stacked matrix products, where the loop takes N - 1
+dependent steps that each cost numpy's per-call overhead at small M.  The
+sweep takes the products only when its horizon needs no rescale (its
+``CostModel.stride`` is at least N - 1); the push always may, as its partial
+products stay below M e^(theta max d).  Any other model loops over the days,
+one mat-vec and one product a day: at M = 10 the products already cost more
+than the loop, at M = 40 about seven times as much.  So route_e1t1 (M = 6)
+takes the products and bottleneck_e1t20 (M = 40) the loop; the ``solve_s``
+of the benchmark's route-cli and bottleneck-fp workloads measure them.  Both
+forms equal ``forward_propagate`` of the tables up to rounding: within
+3.3e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100 iterations.
 
 With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
 one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
@@ -55,12 +55,12 @@ diag(1/z) K diag(u), num_n = K * A_n for A_n = sum_i (mf_n^i / z_n^i) u_n^i,
 an outer product of two vectors a day, formed by one einsum into one buffer
 and folded by one add.  The einsum gives a broadcast product's bits without
 its temporary and, at M = 40, in less time; the bottleneck-fp workload's
-``solve_s`` and traced ``fictitious.self_us_per_iter`` measure the fold
-with the held cost below.  The loop keeps occ = A min K, with
-min K = e^-H and H = theta max d: mf / z is at most e^H, so A could grow
-past the float range over a long run at the kernel limit, while occ stays
-at most k.  The tables num = G * occ, with G = K / min K, are formed only at
-a stop candidate.
+``solve_s`` and traced ``fictitious.self_us_per_iter`` measure the fold with
+the held cost below.  The loop keeps occ = A min K, with min K = e^-H and
+H = ``CostModel.headroom`` = theta max d: mf / z is at most e^H, so A could
+grow past the float range over a long run at the kernel limit, while occ
+stays at most k.  The tables num = G * occ, with G = K / min K, are formed
+only at a stop candidate.
 
 Consistency also prices the average policy without a backward sweep.  With
 k iterates folded, its cost from mu0 is
@@ -94,7 +94,6 @@ runs certifies the gap; a candidate that fails is recorded and play goes on.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +222,7 @@ def exploitability(pi, mu, cm: CostModel, mu0) -> float:
     if dist_distance(forward_propagate(pi, mu0), mu) > 1e-8:
         raise InvalidInputError("mean field is not the flow induced by the policy")
     f_table = cm.cost(mu)
-    br_values = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)[0]
+    br_values = _backward_induction_core(f_table, cm)[0]
     return _gap(pi, f_table, br_values, cm, mu0)
 
 
@@ -245,7 +244,6 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     # The occupancy sums in scaling form (module docstring): num = gibbs * occ.
     k_min = cm.kernel.min()
     gibbs = cm.kernel / k_min
-    head = -math.log(k_min)
 
     occ = np.zeros((cfg.horizon, m, m))
     den = np.zeros((cfg.horizon, m))
@@ -258,14 +256,14 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
     # the final gap.
     for j in range(1, cfg.max_iters + 2):
         f_table = cm.cost(avg_mf)
-        br_values, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
+        br_values, u, z = _backward_induction_core(f_table, cm)
         if j > 1:
             k = j - 1
             # ``weighted`` is free here: the stop candidate and the fold
             # both overwrite it before they read it.
             switching = (
                 np.vdot(gibbs, _xlogx(occ, out=weighted).sum(axis=0))
-                + head * den.sum()
+                + cm.headroom * den.sum()
                 - _xlogx(den).sum()
             )
             held = np.vdot(avg_mf, f_table) + switching / (cm.theta * k)
@@ -279,7 +277,7 @@ def fictitious_play(cm: CostModel, cfg: FPConfig) -> SolverReport:
             converged = gap <= cfg.exploitability_tol
             if converged or j > cfg.max_iters:
                 break
-        induced = _forward_propagate_core(cm.kernel, u, z, cfg.mu0, cm.kernel_row)
+        induced = _forward_propagate_core(cm, u, z, cfg.mu0)
         avg_mf = ((j - 1) / j) * avg_mf + (1.0 / j) * induced
         # Fold into the occupancy sums: one outer product into one buffer
         # per run, and no policy table.

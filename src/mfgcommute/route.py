@@ -87,7 +87,7 @@ def link_flows(mu, net: RoadNetwork) -> np.ndarray:
     Accepts a single (paths,) mean field or a stacked (..., paths) batch.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.shape[-1] != net.num_paths:
+    if mu.ndim == 0 or mu.shape[-1] != net.num_paths:
         raise InvalidInputError(
             f"mean field must have one entry per path ({net.num_paths})"
         )

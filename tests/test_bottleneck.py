@@ -172,6 +172,10 @@ def test_spec_validation_and_ordering_warning():
 def test_delay_profile_rejects_a_mean_field_of_the_wrong_length(guo):
     with pytest.raises(InvalidInputError, match="40 entries"):
         delay_profile(np.full(guo.M - 1, 1.0 / (guo.M - 1)), guo)
+    # A 0-d mean field has no entry per slice either.
+    for f in (delay_profile, departure_costs):
+        with pytest.raises(InvalidInputError, match="40 entries"):
+            f(0.5, guo)
 
 
 def test_spec_rejects_non_finite_fields_by_name():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -324,6 +325,14 @@ def separable_cost_model(rng, m, theta):
     return cm
 
 
+def general_form(cm):
+    # A copy of the model without its common kernel row: the cores then run
+    # the scaling form on a separable kernel too, and on every 1 x 1 kernel.
+    cm = copy.copy(cm)
+    cm.kernel_row = None
+    return cm
+
+
 def at_kernel_limit():
     return make_table_cost_model([0.0, 0.3], 1.0 - np.eye(2), theta=KERNEL_LIMIT)
 
@@ -469,8 +478,8 @@ def test_kernel_form_push_matches_the_explicit_policies(grid9):
         mu0 = random_distribution(rng, cm.M)
         mu0[rng.integers(cm.M)] = 0.0
         mu0 /= mu0.sum()
-        _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
-        got = _forward_propagate_core(cm.kernel, u, z, mu0, cm.kernel_row)
+        _, u, z = _backward_induction_core(cm.cost(mu), cm)
+        got = _forward_propagate_core(cm, u, z, mu0)
         want = forward_propagate(backward_induction(mu, cm)[1], mu0)
         assert np.array_equal(got[0], mu0)
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -480,7 +489,7 @@ def test_kernel_form_push_matches_the_explicit_policies(grid9):
     _, u, z = _soft_backup(cm.kernel, np.array([1.0, 0.0]), cm.theta)
     assert z[0] == 2.0 * math.exp(-KERNEL_LIMIT)
     mu0 = np.array([1.0, 0.0])
-    got = _forward_propagate_core(cm.kernel, np.stack([u, u]), np.stack([z, z]), mu0)
+    got = _forward_propagate_core(cm, np.stack([u, u]), np.stack([z, z]), mu0)
     _, policy = bellman_apply(np.array([1.0, 0.0]), mu0, cm)
     assert np.allclose(got[1], 0.5, rtol=0.0, atol=1e-15)
     assert np.max(np.abs(got[1] - forward_step(policy, mu0))) <= 1e-15
@@ -492,17 +501,17 @@ def test_kernel_form_push_drift_guard():
     rng = np.random.default_rng(20)
     cm = random_cost_model(rng, 4, theta=1.5)
     mu = np.stack([random_distribution(rng, 4) for _ in range(3)])
-    _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
+    _, u, z = _backward_induction_core(cm.cost(mu), cm)
     mu0 = random_distribution(rng, 4)
-    _forward_propagate_core(cm.kernel, u, z, mu0)
+    _forward_propagate_core(cm, u, z, mu0)
     with pytest.raises(NumericError, match="mass drift"):
-        _forward_propagate_core(cm.kernel, u, z * 1.01, mu0)
+        _forward_propagate_core(cm, u, z * 1.01, mu0)
     # The batched push of a separable model keeps the guard on every day.
     cm = separable_cost_model(rng, 4, theta=1.5)
-    _, u, z = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
-    _forward_propagate_core(cm.kernel, u, z, mu0, cm.kernel_row)
+    _, u, z = _backward_induction_core(cm.cost(mu), cm)
+    _forward_propagate_core(cm, u, z, mu0)
     with pytest.raises(NumericError, match="mass drift"):
-        _forward_propagate_core(cm.kernel, u, z * 1.01, mu0, cm.kernel_row)
+        _forward_propagate_core(cm, u, z * 1.01, mu0)
 
 
 SEPARABLE_CONFIGS = ("route_e0t1", "route_e0t20", "bottleneck_e0t20")
@@ -527,12 +536,13 @@ def assert_sweeps_agree(theta, got, want, got_push, want_push, mu0):
 def assert_batched_matches_the_loop(cm, mu, mu0):
     # The batched branch against the day loop on one cost table.
     f_table = cm.cost(mu)
-    loop = _backward_induction_core(f_table, cm.kernel, cm.theta)
-    got = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
+    general = general_form(cm)
+    loop = _backward_induction_core(f_table, general)
+    got = _backward_induction_core(f_table, cm)
     assert_sweeps_agree(
         cm.theta, got, loop,
-        _forward_propagate_core(cm.kernel, *got[1:], mu0, cm.kernel_row),
-        _forward_propagate_core(cm.kernel, *loop[1:], mu0), mu0)
+        _forward_propagate_core(cm, *got[1:], mu0),
+        _forward_propagate_core(general, *loop[1:], mu0), mu0)
 
 
 def test_separable_branch_matches_the_day_loop():
@@ -559,11 +569,12 @@ def test_scaling_form_day_loop_matches_the_log_domain_loop(monkeypatch):
 
     def check(cm, mu, mu0):
         f_table = cm.cost(mu)
-        got = _backward_induction_core(f_table, cm.kernel, cm.theta)
+        general = general_form(cm)
+        got = _backward_induction_core(f_table, general)
         want = log_domain_sweep(f_table, cm.kernel, cm.theta)
         assert_sweeps_agree(
             cm.theta, got, want,
-            _forward_propagate_core(cm.kernel, *got[1:], mu0),
+            _forward_propagate_core(general, *got[1:], mu0),
             log_domain_push(cm.kernel, *want[1:], mu0), mu0)
 
     for name in ("route_e1t1", "bottleneck_e1t20"):
@@ -609,13 +620,14 @@ def test_prefix_products_match_the_day_loop_and_the_log_domain_loop(monkeypatch)
             cm = random_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)), bound=1.0)
             f_table = cm.cost(rng.dirichlet(np.ones(m), size=n_products + 1))
             mu0 = rng.dirichlet(np.ones(m))
-            got = _backward_induction_core(f_table, cm.kernel, cm.theta)
-            got_push = _forward_propagate_core(cm.kernel, *got[1:], mu0)
+            general = general_form(cm)
+            got = _backward_induction_core(f_table, general)
+            got_push = _forward_propagate_core(general, *got[1:], mu0)
             assert calls == [n_products, n_products]
             with monkeypatch.context() as patch:
                 patch.setattr(core, "_PREFIX_MAX_M", 0)
-                loop = _backward_induction_core(f_table, cm.kernel, cm.theta)
-                loop_push = _forward_propagate_core(cm.kernel, *loop[1:], mu0)
+                loop = _backward_induction_core(f_table, general)
+                loop_push = _forward_propagate_core(general, *loop[1:], mu0)
             assert len(calls) == 2
             calls.clear()
             assert_sweeps_agree(cm.theta, got, loop, got_push, loop_push, mu0)
@@ -640,9 +652,9 @@ def test_each_model_takes_its_pinned_path(monkeypatch):
     def paths(cm, n_days):
         calls.clear()
         f_table = cm.cost(rng.dirichlet(np.ones(cm.M), size=n_days))
-        _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta, cm.kernel_row)
+        _, u, z = _backward_induction_core(f_table, cm)
         sweep = list(calls)
-        _forward_propagate_core(cm.kernel, u, z, rng.dirichlet(np.ones(cm.M)), cm.kernel_row)
+        _forward_propagate_core(cm, u, z, rng.dirichlet(np.ones(cm.M)))
         return sweep, calls[len(sweep):]
 
     assert paths(shipped_model("route_e1t1")[1], 30) == ([29], [29])
@@ -694,10 +706,48 @@ def test_scaling_form_keeps_its_headroom_at_the_kernel_limit(theta_d_max):
                 for n in range(n_days):
                     assert_matches_oracle(values[n], policies[n], f_table[n], cm, values[n + 1])
                 mu0 = rng.dirichlet(np.ones(m))
-                _, u, z = _backward_induction_core(f_table, cm.kernel, cm.theta)
+                _, u, z = _backward_induction_core(f_table, cm)
                 assert (u.max(axis=1) == 1.0).all()
-                got = _forward_propagate_core(cm.kernel, u, z, mu0)
+                got = _forward_propagate_core(cm, u, z, mu0)
                 assert np.max(np.abs(got - forward_propagate(policies, mu0))) <= 1e-15
+
+
+def test_cost_model_derives_the_headroom_and_the_stride(monkeypatch):
+    # The sweep reads the headroom H = -ln min K and its rescale stride
+    # max(1, floor((ln float max - 1) / (H + ln M))) from the model, derived
+    # once: (709.78 - 1) / (1 + ln 6) = 253.9 on route_e1t1, 11.4 on
+    # bottleneck_e1t20, and 1.01 at the kernel limit (H = 700, M = 2).
+    for name in SEPARABLE_CONFIGS + ("route_e1t1", "bottleneck_e1t20"):
+        cm = shipped_model(name)[1]
+        assert cm.headroom == -math.log(cm.kernel.min())
+    assert shipped_model("route_e1t1")[1].stride == 253
+    assert shipped_model("bottleneck_e1t20")[1].stride == 11
+    assert at_kernel_limit().stride == 1
+    # One option without inertia never grows, so no horizon reaches a rescale:
+    # its 300-day sweep takes the prefix products.
+    calls = count_prefix_products(monkeypatch)
+    alone = make_table_cost_model([0.5], np.zeros((1, 1)), theta=2.0, coupling=[[0.3]])
+    assert alone.headroom == 0.0 and alone.stride >= np.iinfo(np.intp).max
+    _backward_induction_core(alone.cost(np.ones((300, 1))), general_form(alone))
+    assert calls == [299]
+    # A stride of 1 rescales every day.  No shipped model needs that, so a
+    # copy of two of them takes it: its sweep must loop over the days and
+    # agree with the model's own sweep and push.
+    rng = np.random.default_rng(27)
+    for name in ("route_e1t1", "bottleneck_e1t20"):
+        cfg, cm, _, _ = shipped_model(name)
+        every_day = copy.copy(cm)
+        every_day.stride = 1
+        for _ in range(3):
+            f_table = cm.cost(rng.dirichlet(np.ones(cm.M), size=cfg.horizon))
+            mu0 = rng.dirichlet(np.ones(cm.M))
+            want = _backward_induction_core(f_table, cm)
+            want_push = _forward_propagate_core(cm, *want[1:], mu0)
+            calls.clear()
+            got = _backward_induction_core(f_table, every_day)
+            assert calls == []
+            got_push = _forward_propagate_core(every_day, *got[1:], mu0)
+            assert_sweeps_agree(cm.theta, got, want, got_push, want_push, mu0)
 
 
 def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal():
@@ -722,12 +772,13 @@ def test_kernel_row_is_set_exactly_when_the_kernel_rows_are_equal():
     assert cm.kernel_row is None
     mu = rng.dirichlet(np.ones(4), size=6)
     mu0 = rng.dirichlet(np.ones(4))
-    loop = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta)
-    got = _backward_induction_core(cm.cost(mu), cm.kernel, cm.theta, cm.kernel_row)
+    general = general_form(cm)
+    loop = _backward_induction_core(cm.cost(mu), general)
+    got = _backward_induction_core(cm.cost(mu), cm)
     assert all(np.array_equal(a, b) for a, b in zip(got, loop))
     assert np.array_equal(
-        _forward_propagate_core(cm.kernel, *got[1:], mu0, cm.kernel_row),
-        _forward_propagate_core(cm.kernel, *loop[1:], mu0))
+        _forward_propagate_core(cm, *got[1:], mu0),
+        _forward_propagate_core(general, *loop[1:], mu0))
     assert np.array_equal(backward_induction(mu, cm)[0], loop[0])
 
 

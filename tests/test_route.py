@@ -60,6 +60,10 @@ def test_link_flows_uniform_share(grid9):
 def test_link_flows_dimension_mismatch(grid9):
     with pytest.raises(InvalidInputError):
         link_flows(np.array([1.0, 0.0]), grid9)
+    # A 0-d mean field has no entry per path either.
+    for f in (link_flows, path_costs):
+        with pytest.raises(InvalidInputError, match="one entry per path"):
+            f(0.5, grid9)
 
 
 def one_link(c, b, t0, demand):
