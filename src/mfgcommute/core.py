@@ -56,11 +56,11 @@ RENORM_TOL = 1e-10
 KERNEL_LIMIT = 700.0
 # ln of the largest float (709.78), which sets the sweep's rescale stride.
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# Largest M at which the epsilon > 0 sweep and push run as prefix products
-# (_prefix_products) rather than a day loop: the measured crossover.  On a
-# 2-core Xeon with numpy 2.4 and BLAS on one thread, one 30-day sweep and
-# push took 0.74, 0.78 and 0.84 of the loops' time as products at M = 4, 6
-# and 8, but 1.01 at M = 10, 1.12 at M = 12 and 8.3 at M = 40.
+# Largest M at which _chain runs as prefix products rather than a day loop:
+# the measured crossover.  On a 2-core Xeon with numpy 2.4 and BLAS on one
+# thread, one 30-day sweep and push took 0.74, 0.78 and 0.84 of the loops'
+# time as products at M = 4, 6 and 8, but 1.01 at M = 10, 1.12 at M = 12
+# and 8.3 at M = 40.
 _PREFIX_MAX_M = 8
 
 
@@ -179,17 +179,16 @@ class CostModel:
     bit for bit (separable inertia, d(s, x) = b(x), as at epsilon = 0), else
     None.  Given it, the backward sweep and the push run all days in one
     broadcast each, with no day loop (``_backward_induction_core``).
-    Otherwise they run in scaling form, with the ``headroom`` H = -ln min
-    kernel = theta max d that the limit bounds: at M <= 8 as prefix products
-    of the day maps, log2 N stacked products (the sweep only while its horizon
-    needs no rescale), and else as a loop over the days, one mat-vec a day.
-    The benchmark's route-fp, route-cli and bottleneck-fp ``solve_s`` measure
-    the three.  A day grows the sweep's max u by at most M e^H, so it rescales
-    every ``stride`` = max(1, floor((ln float max - 1) / (H + ln M))) days,
-    the 1 for rounding: 253 on route_e1t1 ((709.78 - 1) / (1 + ln 6) = 253.9),
-    11 on bottleneck_e1t20 (H = 58.5, M = 40), 1 near the kernel limit, and
-    finite below M = 17,000.  At H + ln M = 0 (one option, no inertia) nothing
-    grows, and the stride is the largest array length.
+    Otherwise each runs as one scaled chain of day maps (``_chain``), with
+    the ``headroom`` H = -ln min kernel = theta max d that the limit bounds.
+    The benchmark's route-fp ``solve_s`` measures the broadcasts, route-cli's
+    and bottleneck-fp's the chains.  A day grows the sweep's max u by at most
+    M e^H, so it rescales every ``stride`` = max(1, floor((ln float max - 1)
+    / (H + ln M))) days, the 1 for rounding: 253 on route_e1t1 ((709.78 - 1)
+    / (1 + ln 6) = 253.9), 11 on bottleneck_e1t20 (H = 58.5, M = 40), 1
+    near the kernel limit, and finite below M = 17,000.  At H + ln M = 0 (one
+    option, no inertia) nothing grows, and the stride is the largest array
+    length.
     """
 
     cost: Callable[[np.ndarray], np.ndarray] = field(repr=False)
@@ -326,16 +325,9 @@ def _backward_induction_core(f_table, cm):
     # option's product is e^H (K u)(b) >= max u: max u never falls, so a
     # weight lost to underflow is below M e^-745 of the day's largest and
     # below M e^-45 of z, the bound of _soft_backup.  Rescaled every
-    # CostModel.stride days, the products stay below the float range.
-    #
-    # Two forms give the same u up to rounding.  On a small kernel (M at
-    # most _PREFIX_MAX_M) whose horizon fits in one stride (stride >= N - 1),
-    # the recurrence runs as prefix products, u_n^T = 1^T T_{N-1}^T ...
-    # T_{n+1}^T with T_n^T = K^T diag(w_n), in ceil(log2(N - 1)) stacked
-    # products (_prefix_products); no partial product exceeds the loop's
-    # bound, so none is rescaled.  Otherwise the days loop, one mat-vec and
-    # one product a day, and divide u by its max every ``stride`` days.
-    # route-cli's and bottleneck-fp's solve_s measure the two forms.
+    # CostModel.stride days, the products stay below the float range.  So
+    # u_n^T = 1^T T_{N-1} ... T_{n+1} with T_n = K^T diag(w_n) is one
+    # _chain, rescaled at that stride.
     #
     # Then one broadcast scales each day's u to max 1, so u_n =
     # exp(-theta (V_{n+1} - min V_{n+1})), and one matrix product forms
@@ -347,24 +339,40 @@ def _backward_induction_core(f_table, cm):
     # above, not with the headroom carried by the unscaled products.
     weights = np.exp((f_min[1:, None] - f_table[1:]) * theta + cm.headroom)
     u = np.empty((n_days, m))
-    z = np.empty((n_days, m))
     u[-1] = 1.0
-    if m <= _PREFIX_MAX_M and cm.stride >= n_days - 1:
-        u[-2::-1] = _prefix_products(kernel.T, weights[::-1], u[-1])
-    else:
-        for n in range(n_days - 1, 0, -1):
-            p = np.multiply(weights[n - 1], kernel.dot(u[n], out=z[n]), out=u[n - 1])
-            if (n_days - n) % cm.stride == 0:
-                # The max over a list, as a Python float: faster than an array's.
-                p /= max(p.tolist())
+    u[-2::-1] = _chain(kernel.T, weights[::-1], u[-1], cm.stride)
     u /= u.max(axis=1, keepdims=True)
-    np.dot(u, kernel.T, out=z)
+    z = np.dot(u, kernel.T)
     values = np.zeros((n_days + 1, m))
     np.log(z, out=values[:-1])
     values[:-1] /= -theta
     values[:-1] += f_table
     values[:-2] += np.cumsum(values[-2:0:-1].min(axis=1))[::-1, None]
     return values, u, z
+
+
+def _chain(kernel, scales, start, stride):
+    # Rows start A_0 ... A_k for every k, with A_k = kernel diag(scales[k]):
+    # the day recurrence of the scaling-form sweep and push, in one of two
+    # forms that agree up to rounding.  On a small kernel (at most
+    # _PREFIX_MAX_M options) whose chain needs no rescale (stride at least
+    # len(scales)), prefix products (_prefix_products) form every row in
+    # ceil(log2 len(scales)) stacked products, none rescaled.  Otherwise one
+    # loop over the days takes a vector-matrix product and a product a day,
+    # and divides the row by its max every ``stride`` days; a stride past
+    # len(scales) never rescales.  route-cli's and bottleneck-fp's solve_s
+    # measure the two forms.
+    if len(start) <= _PREFIX_MAX_M and stride >= len(scales):
+        return _prefix_products(kernel, scales, start)
+    rows = np.empty(scales.shape)
+    row = start
+    for k, (out, scale) in enumerate(zip(rows, scales), 1):
+        row = np.dot(row, kernel, out=out)
+        row *= scale
+        if k % stride == 0:
+            # The max over a list, as a Python float: faster than an array's.
+            row /= max(row.tolist())
+    return rows
 
 
 def _prefix_products(kernel, scales, start):
@@ -441,12 +449,10 @@ def _forward_propagate_core(cm, u, z, mu0):
     # kernel form: mu_{n+1}(x) = u_n(x) sum_s (mu_n(s) / z_n(s)) kernel(s, x),
     # with no M x M table (the sweep keeps z >= e^(-theta max d)).  The push
     # carries nu_n = mu_n / z_n, so nu_{n+1} = nu_n B_n with the day map
-    # B_n = kernel diag(u_n / z_{n+1}), formed for all days at once.  At
-    # m <= _PREFIX_MAX_M every nu_n comes from the prefix products of the
-    # B_n (_prefix_products), which need no rescale: B_n ... B_k is
+    # B_n = kernel diag(u_n / z_{n+1}): one _chain with a stride past the
+    # horizon, as no partial product needs a rescale: B_n ... B_k is
     # diag(z_n) pi_n ... pi_k diag(1 / z_{k+1}), at most M e^(theta max d).
-    # Otherwise the days loop, one vector-matrix product and one product a
-    # day.  The push keeps mass, so no day is renormalized on the way: after
+    # The push keeps mass, so no day is renormalized on the way: after
     # it, one sum per day checks each day's mass against the day before, and
     # one division scales every day to 1.  Equal to forward_propagate of
     # those policies up to rounding.
@@ -463,16 +469,8 @@ def _forward_propagate_core(cm, u, z, mu0):
         total = push.sum(axis=1)
         drift = np.abs(total / z[:-1, 0] - 1.0)
     else:
-        ratio = u[:-1] / z[1:]
-        nu = np.empty((n_days, m))
-        np.divide(mu0, z[0], out=nu[0])
-        if m <= _PREFIX_MAX_M:
-            nu[1:] = _prefix_products(kernel, ratio, nu[0])
-        else:
-            for today, tomorrow, r in zip(nu, nu[1:], ratio):
-                np.dot(today, kernel, out=tomorrow)
-                tomorrow *= r
-        push = np.multiply(nu[1:], z[1:], out=out[1:])
+        nu = _chain(kernel, u[:-1] / z[1:], mu0 / z[0], n_days)
+        push = np.multiply(nu, z[1:], out=out[1:])
         total = out.sum(axis=1)
         drift = np.abs(total[1:] / total[:-1] - 1.0)
         total = total[1:]
@@ -516,11 +514,12 @@ def _xlogx(x, out=None):
     return out
 
 
-def _policy_evaluate_core(pi, f_table, d, theta):
+def _policy_evaluate_core(pi, f_table, cm):
     # The entropy term does not depend on the values: one call for all days.
     n_days, m = f_table.shape
+    d = cm.inertia_matrix
     values = np.zeros((n_days + 1, m))
-    entropy = _xlogx(pi).sum(axis=2) / theta
+    entropy = _xlogx(pi).sum(axis=2) / cm.theta
     for n in range(n_days - 1, -1, -1):
         p = pi[n]
         stage = (p * (d + values[n + 1][None, :])).sum(axis=1)
@@ -539,4 +538,4 @@ def policy_evaluate(pi, mu, cm: CostModel) -> np.ndarray:
     """
     mu = check_stochastic(mu, "mean field sequence", (None, cm.M))
     pi = check_stochastic(pi, "policy sequence", (len(mu), cm.M, cm.M))
-    return _policy_evaluate_core(pi, cm.cost(mu), cm.inertia_matrix, cm.theta)
+    return _policy_evaluate_core(pi, cm.cost(mu), cm)

@@ -25,21 +25,18 @@ the float range needs it (Schmitzer, SIAM J. Sci. Comput. 2019), and its exp
 and log run once over all days.  The push keeps mass, so it renormalizes
 once, after all days.
 
-Both recurrences are linear, one matrix a day, so each runs in one of two
-forms.  On a small kernel (M at most ``core._PREFIX_MAX_M`` = 8) they run as
-prefix products of the day maps by recursive doubling (Blelloch, "Prefix
-sums and their applications", 1990; Sarkka and Garcia-Fernandez, IEEE TAC
-2021): ceil(log2(N - 1)) stacked matrix products, where the loop takes N - 1
-dependent steps that each cost numpy's per-call overhead at small M.  The
-sweep takes the products only when its horizon needs no rescale (its
-``CostModel.stride`` is at least N - 1); the push always may, as its partial
-products stay below M e^(theta max d).  Any other model loops over the days,
-one mat-vec and one product a day: at M = 10 the products already cost more
-than the loop, at M = 40 about seven times as much.  So route_e1t1 (M = 6)
-takes the products and bottleneck_e1t20 (M = 40) the loop; the ``solve_s``
-of the benchmark's route-cli and bottleneck-fp workloads measure them.  Both
-forms equal ``forward_propagate`` of the tables up to rounding: within
-3.3e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100 iterations.
+Both recurrences are linear, one matrix a day, so each is one scaled chain
+of day maps (``core._chain``), which runs either as prefix products by
+recursive doubling (Blelloch, "Prefix sums and their applications", 1990;
+Sarkka and Garcia-Fernandez, IEEE TAC 2021), in ceil(log2(N - 1)) stacked
+matrix products where a loop takes N - 1 dependent steps, or as that loop.
+``core._chain`` picks the form from M and the stride, and
+``core._PREFIX_MAX_M`` records the measured crossover: route_e1t1 (M = 6)
+takes the products and bottleneck_e1t20 (M = 40) the loop, and the
+``solve_s`` of the benchmark's route-cli and bottleneck-fp workloads measure
+them.  Both forms equal ``forward_propagate`` of the tables up to rounding:
+within 3.3e-16 on route_e1t1 and 4.4e-16 on bottleneck_e1t20 over 100
+iterations.
 
 With separable inertia, d(s, x) = b(x) as at epsilon = 0, every row of K is
 one row k (``CostModel.kernel_row``), so z_n is one number, V_n = f_n + g_n
@@ -205,7 +202,7 @@ def fp_average_policy(history, j: int) -> np.ndarray:
 
 def _gap(pi, f_table, br_values, cm, mu0):
     # Cost of holding ``pi`` minus the best-response cost on the same table.
-    held = _policy_evaluate_core(pi, f_table, cm.inertia_matrix, cm.theta)
+    held = _policy_evaluate_core(pi, f_table, cm)
     return float(np.sum(mu0 * held[0])) - float(np.sum(mu0 * br_values[0]))
 
 

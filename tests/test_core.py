@@ -591,16 +591,17 @@ def test_scaling_form_day_loop_matches_the_log_domain_loop(monkeypatch):
             check(cm, mu, rng.dirichlet(np.ones(m)))
 
 
-def count_prefix_products(monkeypatch):
-    # The number of factors of each core._prefix_products call, in order.
+def count_factors(monkeypatch, name):
+    # The number of factors of each call of core.<name>, a chain or its
+    # prefix products, in order.
     calls = []
-    prefix_products = core._prefix_products
+    inner = getattr(core, name)
 
-    def counted(kernel, scales, start):
+    def counted(kernel, scales, *rest):
         calls.append(len(scales))
-        return prefix_products(kernel, scales, start)
+        return inner(kernel, scales, *rest)
 
-    monkeypatch.setattr(core, "_prefix_products", counted)
+    monkeypatch.setattr(core, name, counted)
     return calls
 
 
@@ -614,7 +615,7 @@ def test_prefix_products_match_the_day_loop_and_the_log_domain_loop(monkeypatch)
     # of two and the second on one.  Inertia of at most 1 keeps theta max d
     # below 20, so the stride is at least 32 for M <= 8.
     rng = np.random.default_rng(25)
-    calls = count_prefix_products(monkeypatch)
+    calls = count_factors(monkeypatch, "_prefix_products")
     for m in (1, 2, 5, 8):
         for n_products in (0, 1, 2, 3, 29, 32):
             cm = random_cost_model(rng, m, theta=float(rng.uniform(0.3, 20.0)), bound=1.0)
@@ -641,29 +642,33 @@ def test_prefix_products_match_the_day_loop_and_the_log_domain_loop(monkeypatch)
 def test_each_model_takes_its_pinned_path(monkeypatch):
     # Which of the sweep and the push run as prefix products: route_e1t1
     # (M = 6, H = 1) both; bottleneck_e1t20 (M = 40) neither, it loops over
-    # the days; route_e0t1 neither, it has a common kernel row.  A small-M
+    # the days; route_e0t1 neither, it has a common kernel row.  The first
+    # two, like every small-M model below, make one _chain call in the sweep
+    # and one in the push; route_e0t1 makes none.  A small-M
     # model at theta max d = 300 over 60 days has a stride of 2, so its sweep
     # loops, rescaling, while its push, bounded by M e^H, takes the products.
     # At theta max d = 50 the stride is 13: 12 days take the products and
     # 60 days the loop, the two forms the headroom test below covers.
     rng = np.random.default_rng(26)
-    calls = count_prefix_products(monkeypatch)
+    calls = count_factors(monkeypatch, "_prefix_products")
+    chains = count_factors(monkeypatch, "_chain")
 
     def paths(cm, n_days):
         calls.clear()
+        chains.clear()
         f_table = cm.cost(rng.dirichlet(np.ones(cm.M), size=n_days))
         _, u, z = _backward_induction_core(f_table, cm)
-        sweep = list(calls)
+        sweep, sweep_chains = list(calls), len(chains)
         _forward_propagate_core(cm, u, z, rng.dirichlet(np.ones(cm.M)))
-        return sweep, calls[len(sweep):]
+        return sweep, calls[len(sweep):], (sweep_chains, len(chains) - sweep_chains)
 
-    assert paths(shipped_model("route_e1t1")[1], 30) == ([29], [29])
-    assert paths(shipped_model("bottleneck_e1t20")[1], 30) == ([], [])
-    assert paths(shipped_model("route_e0t1")[1], 30) == ([], [])
-    assert paths(headroom_cost_model(rng, 5, 300.0), 60) == ([], [59])
+    assert paths(shipped_model("route_e1t1")[1], 30) == ([29], [29], (1, 1))
+    assert paths(shipped_model("bottleneck_e1t20")[1], 30) == ([], [], (1, 1))
+    assert paths(shipped_model("route_e0t1")[1], 30) == ([], [], (0, 0))
+    assert paths(headroom_cost_model(rng, 5, 300.0), 60) == ([], [59], (1, 1))
     for m in (3, 8):
-        assert paths(headroom_cost_model(rng, m, 50.0), 12) == ([11], [11])
-        assert paths(headroom_cost_model(rng, m, 50.0), 60) == ([], [59])
+        assert paths(headroom_cost_model(rng, m, 50.0), 12) == ([11], [11], (1, 1))
+        assert paths(headroom_cost_model(rng, m, 50.0), 60) == ([], [59], (1, 1))
 
 
 def headroom_cost_model(rng, m, theta_d_max):
@@ -725,7 +730,7 @@ def test_cost_model_derives_the_headroom_and_the_stride(monkeypatch):
     assert at_kernel_limit().stride == 1
     # One option without inertia never grows, so no horizon reaches a rescale:
     # its 300-day sweep takes the prefix products.
-    calls = count_prefix_products(monkeypatch)
+    calls = count_factors(monkeypatch, "_prefix_products")
     alone = make_table_cost_model([0.5], np.zeros((1, 1)), theta=2.0, coupling=[[0.3]])
     assert alone.headroom == 0.0 and alone.stride >= np.iinfo(np.intp).max
     _backward_induction_core(alone.cost(np.ones((300, 1))), general_form(alone))
